@@ -8,7 +8,7 @@ use pdc_datagen::{Record, CATEGORICAL_CARDINALITY, NUM_CLASSES, NUM_NUMERIC};
 use crate::categorical::CountMatrix;
 use crate::gini::ClassCounts;
 use crate::intervals::IntervalSet;
-use crate::numeric::{exact_interval_scan, AliveInterval, AttrIntervalStats};
+use crate::numeric::{exact_interval_scan, AliveIndex, AliveInterval, AttrIntervalStats};
 use crate::params::{CloudsParams, SplitMethod};
 use crate::split::Candidate;
 
@@ -119,19 +119,25 @@ pub fn accumulate_stats(records: &[Record], sample: &[Record], q: usize) -> Node
 
 /// SSE second pass over in-memory records: exact scans of the alive
 /// intervals, returning the best candidate found (if any beats `best`).
+/// One pass routes every record through an [`AliveIndex`] into its alive
+/// intervals' point lists; `alive` must be in the order
+/// [`NodeStats::alive_intervals`] returns.
 pub fn evaluate_alive_in_memory(
     records: &[Record],
     alive: &[AliveInterval],
     total: &ClassCounts,
     mut best: Option<Candidate>,
 ) -> Option<Candidate> {
-    for interval in alive {
-        let mut points: Vec<(f64, u8)> = records
-            .iter()
-            .filter(|r| interval.contains(r.num(interval.attr)))
-            .map(|r| (r.num(interval.attr), r.class))
-            .collect();
-        if let Some(c) = exact_interval_scan(&mut points, interval, total) {
+    let index = AliveIndex::new(alive);
+    let mut points: Vec<Vec<(f64, u8)>> = alive
+        .iter()
+        .map(|a| Vec::with_capacity(usize::try_from(a.count).map_or(0, |c| c.min(records.len()))))
+        .collect();
+    for r in records {
+        index.route(r, |k, v| points[k].push((v, r.class)));
+    }
+    for (interval, points) in alive.iter().zip(&mut points) {
+        if let Some(c) = exact_interval_scan(points, interval, total) {
             best = Candidate::better(best, c);
         }
     }

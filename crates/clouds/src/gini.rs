@@ -119,6 +119,16 @@ pub fn sub(a: &[u64], b: &[u64]) -> ClassCounts {
     a.iter().zip(b).map(|(x, y)| x - y).collect()
 }
 
+/// Element-wise difference `a − b` written into `out`, without allocating
+/// (panics on underflow in debug builds).
+pub fn sub_into(out: &mut [u64], a: &[u64], b: &[u64]) {
+    debug_assert_eq!(out.len(), a.len());
+    debug_assert_eq!(a.len(), b.len());
+    for ((o, x), y) in out.iter_mut().zip(a).zip(b) {
+        *o = x - y;
+    }
+}
+
 /// In-place element-wise accumulation.
 pub fn add_assign(acc: &mut [u64], other: &[u64]) {
     debug_assert_eq!(acc.len(), other.len());
@@ -214,6 +224,9 @@ mod tests {
     fn vector_helpers() {
         assert_eq!(add(&[1, 2], &[3, 4]), vec![4, 6]);
         assert_eq!(sub(&[3, 4], &[1, 2]), vec![2, 2]);
+        let mut out = [9, 9];
+        sub_into(&mut out, &[3, 4], &[1, 2]);
+        assert_eq!(out, [2, 2]);
         let mut acc = vec![1, 1];
         add_assign(&mut acc, &[2, 3]);
         assert_eq!(acc, vec![3, 4]);

@@ -52,7 +52,7 @@ pub use derive::{
 pub use gini::{gini, split_gini, ClassCounts};
 pub use intervals::IntervalSet;
 pub use metrics::{accuracy, accuracy_of, confusion_matrix, error_rate, holdout_pair};
-pub use numeric::{exact_interval_scan, AliveInterval, AttrIntervalStats};
+pub use numeric::{exact_interval_scan, AliveIndex, AliveInterval, AttrIntervalStats};
 pub use params::{CloudsParams, SplitMethod};
 pub use prune::{mdl_prune, MdlParams};
 pub use sample::{draw_sample, Reservoir};

@@ -10,9 +10,13 @@
 
 use pdc_cgm::wire::{DecodeResult, Wire};
 
-use crate::gini::{add_assign, gini, interval_gini_lower_bound, split_gini, sub, ClassCounts};
+use pdc_datagen::Record;
+
+use crate::gini::{
+    add_assign, gini, interval_gini_lower_bound, split_gini, sub_into, total, ClassCounts,
+};
 use crate::intervals::IntervalSet;
-use crate::split::{Candidate, Splitter};
+use crate::split::{Candidate, CandidateKey, Splitter};
 
 /// Per-interval class frequencies of one numeric attribute at one node.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,9 +89,10 @@ impl AttrIntervalStats {
         let nb = self.intervals.boundaries().len();
         let mut out = Vec::with_capacity(nb);
         let mut left = vec![0u64; node_total.len()];
+        let mut right = vec![0u64; node_total.len()];
         for i in 0..nb {
             add_assign(&mut left, &self.counts[i]);
-            let right = sub(node_total, &left);
+            sub_into(&mut right, node_total, &left);
             out.push(split_gini(&left, &right));
         }
         out
@@ -95,30 +100,20 @@ impl AttrIntervalStats {
 
     /// Best interval-boundary split for this attribute (the SS candidate).
     pub fn best_boundary(&self, node_total: &ClassCounts) -> Option<Candidate> {
-        let ginis = self.boundary_ginis(node_total);
-        let boundaries = self.intervals.boundaries();
-        let n: u64 = node_total.iter().sum();
-        let mut best: Option<Candidate> = None;
+        let n = total(node_total);
         let mut left = vec![0u64; node_total.len()];
-        for (i, &g) in ginis.iter().enumerate() {
-            add_assign(&mut left, &self.counts[i]);
-            let left_n: u64 = left.iter().sum();
+        let mut right = vec![0u64; node_total.len()];
+        let mut best = NumericBest::new(self.attr);
+        for (interior, &threshold) in self.counts.iter().zip(self.intervals.boundaries()) {
+            add_assign(&mut left, interior);
+            let left_n = total(&left);
             if left_n == 0 || left_n == n {
                 continue; // degenerate: one side empty, cannot partition
             }
-            best = Candidate::better(
-                best,
-                Candidate {
-                    gini: g,
-                    splitter: Splitter::Numeric {
-                        attr: self.attr,
-                        threshold: boundaries[i],
-                    },
-                    left_counts: left.clone(),
-                },
-            );
+            sub_into(&mut right, node_total, &left);
+            best.offer(split_gini(&left, &right), threshold, &left);
         }
-        best
+        best.finish()
     }
 
     /// The SSE method's alive intervals: intervals whose gini lower bound is
@@ -221,6 +216,57 @@ impl Wire for AliveInterval {
     }
 }
 
+/// Running minimum over the numeric splits of one attribute, by the
+/// canonical [`Candidate`] key. The left counts are copied only when the
+/// best improves, and the [`Candidate`] is built once, at the end.
+struct NumericBest {
+    attr: usize,
+    key: Option<CandidateKey>,
+    gini: f64,
+    threshold: f64,
+    left: ClassCounts,
+}
+
+impl NumericBest {
+    fn new(attr: usize) -> Self {
+        NumericBest {
+            attr,
+            key: None,
+            gini: 0.0,
+            threshold: 0.0,
+            left: Vec::new(),
+        }
+    }
+
+    /// Keep the split at `threshold` if its key beats the best so far
+    /// (the rule of [`Candidate::better`]).
+    fn offer(&mut self, gini: f64, threshold: f64, left: &[u64]) {
+        let splitter = Splitter::Numeric {
+            attr: self.attr,
+            threshold,
+        };
+        let key = Candidate::key_of(gini, &splitter);
+        if self.key.is_none_or(|best| key < best) {
+            self.key = Some(key);
+            self.gini = gini;
+            self.threshold = threshold;
+            self.left.clear();
+            self.left.extend_from_slice(left);
+        }
+    }
+
+    fn finish(self) -> Option<Candidate> {
+        self.key.map(|_| Candidate {
+            gini: self.gini,
+            splitter: Splitter::Numeric {
+                attr: self.attr,
+                threshold: self.threshold,
+            },
+            left_counts: self.left,
+        })
+    }
+}
+
 /// Exact gini scan over the points of one alive interval: sorts the points
 /// and evaluates the split at every distinct value. Returns the best
 /// candidate, or `None` when the interval has no point.
@@ -236,7 +282,8 @@ pub fn exact_interval_scan(
     }
     points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN attribute value"));
     let mut left = alive.cum_before.clone();
-    let mut best: Option<Candidate> = None;
+    let mut right = vec![0u64; node_total.len()];
+    let mut best = NumericBest::new(alive.attr);
     let n = points.len();
     let mut i = 0;
     while i < n {
@@ -251,24 +298,92 @@ pub fn exact_interval_scan(
             left[points[i].1 as usize] += 1;
             i += 1;
         }
-        let right = sub(node_total, &left);
-        if right.iter().sum::<u64>() == 0 {
+        sub_into(&mut right, node_total, &left);
+        if total(&right) == 0 {
             break; // threshold at the global maximum cannot partition
         }
-        let g = split_gini(&left, &right);
-        best = Candidate::better(
-            best,
-            Candidate {
-                gini: g,
-                splitter: Splitter::Numeric {
-                    attr: alive.attr,
-                    threshold: v,
-                },
-                left_counts: left.clone(),
-            },
-        );
+        best.offer(split_gini(&left, &right), v, &left);
     }
-    best
+    best.finish()
+}
+
+/// Routes records to the alive intervals that contain them.
+///
+/// Built once per node from alive intervals grouped by attribute in
+/// ascending order, disjoint and ascending within an attribute (the order
+/// of [`AttrIntervalStats::alive_intervals`] and of a sort by
+/// `(attr, index)`). Only attributes with an alive interval are indexed;
+/// for each, one binary search over the upper edges and one containment
+/// check find the only interval that can hold a value. Positions `k` refer
+/// to the slice the index was built from; since that slice is grouped by
+/// attribute, an attribute's entries are the contiguous range `k ∈
+/// start..end` of the flat edge arrays.
+#[derive(Debug)]
+pub struct AliveIndex {
+    /// `(attr, start, end)` per indexed attribute, ascending `attr`.
+    attrs: Vec<(usize, usize, usize)>,
+    /// Open lower edge per alive interval (`None` = −inf).
+    lower: Vec<Option<f64>>,
+    /// Closed upper edge per alive interval (`None` = +inf).
+    upper: Vec<Option<f64>>,
+}
+
+impl AliveIndex {
+    /// Index `alive`. Panics unless the intervals are grouped by ascending
+    /// attribute and disjoint and ascending within one.
+    pub fn new(alive: &[AliveInterval]) -> AliveIndex {
+        let mut attrs: Vec<(usize, usize, usize)> = Vec::new();
+        for (k, a) in alive.iter().enumerate() {
+            match attrs.last_mut() {
+                Some((attr, _, end)) if *attr == a.attr => {
+                    let prev = &alive[k - 1];
+                    assert!(
+                        matches!((prev.upper, a.lower), (Some(hi), Some(lo)) if lo >= hi),
+                        "alive intervals {} and {} of attribute {attr} overlap or are out of order",
+                        prev.index,
+                        a.index
+                    );
+                    *end = k + 1;
+                }
+                last => {
+                    assert!(
+                        last.is_none_or(|&mut (attr, _, _)| attr < a.attr),
+                        "alive intervals must be grouped by ascending attribute"
+                    );
+                    attrs.push((a.attr, k, k + 1));
+                }
+            }
+        }
+        AliveIndex {
+            attrs,
+            lower: alive.iter().map(|a| a.lower).collect(),
+            upper: alive.iter().map(|a| a.upper).collect(),
+        }
+    }
+
+    /// Position of the interval of `(start, end)` holding `value`, if any.
+    #[inline]
+    fn find(&self, start: usize, end: usize, value: f64) -> Option<usize> {
+        let uppers = &self.upper[start..end];
+        let j = start + uppers.partition_point(|u| u.is_some_and(|hi| hi < value));
+        let inside = j < end
+            && self.lower[j].is_none_or(|lo| value > lo)
+            && self.upper[j].is_none_or(|hi| value <= hi);
+        inside.then_some(j)
+    }
+
+    /// Call `hit(k, value)` for every alive interval `k` containing the
+    /// record's value of its attribute, in ascending `k` — the order of a
+    /// loop over all of `alive` testing [`AliveInterval::contains`].
+    #[inline]
+    pub fn route(&self, record: &Record, mut hit: impl FnMut(usize, f64)) {
+        for &(attr, start, end) in &self.attrs {
+            let v = record.num(attr);
+            if let Some(k) = self.find(start, end, v) {
+                hit(k, v);
+            }
+        }
+    }
 }
 
 /// Gini of the node itself (no split), used as the "don't split" baseline.
@@ -279,6 +394,7 @@ pub fn node_gini(node_total: &ClassCounts) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gini::sub;
     use crate::intervals::IntervalSet;
 
     fn stats_from(values: &[(f64, u8)], q: usize) -> (AttrIntervalStats, ClassCounts) {

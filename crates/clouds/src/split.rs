@@ -95,6 +95,9 @@ impl Wire for Splitter {
     }
 }
 
+/// Sort key of a [`Candidate`]; see [`Candidate::key`].
+pub(crate) type CandidateKey = (u64, u8, usize, u64);
+
 /// A scored candidate split. Ordering favors lower gini (ties to whatever
 /// came first).
 #[derive(Debug, Clone, PartialEq)]
@@ -131,10 +134,17 @@ impl Candidate {
     /// this key everywhere makes the winning split independent of the order
     /// candidates are examined in — and therefore independent of processor
     /// counts, interval-owner assignments and batching schedules.
-    fn key(&self) -> (u64, u8, usize, u64) {
+    pub(crate) fn key(&self) -> CandidateKey {
+        Self::key_of(self.gini, &self.splitter)
+    }
+
+    /// [`Candidate::key`] of a candidate with this gini and splitter,
+    /// without building it (scans compare keys before they pay for the
+    /// left counts).
+    pub(crate) fn key_of(gini: f64, splitter: &Splitter) -> CandidateKey {
         // total_cmp-compatible encoding of a non-negative f64.
-        let gini_bits = self.gini.to_bits();
-        match self.splitter {
+        let gini_bits = gini.to_bits();
+        match *splitter {
             Splitter::Numeric { attr, threshold } => {
                 // Map f64 to a monotone u64 (handles negatives).
                 let t = threshold.to_bits();

@@ -30,7 +30,7 @@ use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::derive::NodeStats;
 use pdc_clouds::gini::total;
 use pdc_clouds::{
-    build_tree_with_stats, exact_interval_scan, AliveInterval, Candidate, ClassCounts,
+    build_tree_with_stats, exact_interval_scan, AliveIndex, AliveInterval, Candidate, ClassCounts,
     CloudsParams, SplitMethod,
 };
 use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
@@ -533,7 +533,10 @@ impl PcloudsProblem<'_> {
             let n = disk.num_records(&f);
             proc.allreduce(n.div_ceil(self.chunk()) as u64, u64::max)
         };
-        let mut mine: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); alive.len()];
+        // Host-side routing only: the SplitTest charge below models the
+        // paper's per-interval tests, whatever the index saves.
+        let index = AliveIndex::new(alive);
+        let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); alive.len()];
         let mut cursor = 0usize;
         for _ in 0..rounds {
             let chunk: Vec<Record> = {
@@ -555,17 +558,12 @@ impl PcloudsProblem<'_> {
             );
             let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
             for r in &chunk {
-                for (k, interval) in alive.iter().enumerate() {
-                    let v = r.num(interval.attr);
-                    if interval.contains(v) {
-                        buckets[owners[k]].push((k as u64, v, r.class));
-                    }
-                }
+                index.route(r, |k, v| buckets[owners[k]].push((k as u64, v, r.class)));
             }
             let received = proc.all_to_all(buckets);
             for batch in received {
                 for (k, v, class) in batch {
-                    mine[k as usize].push((k, v, class));
+                    mine[k as usize].push((v, class));
                 }
             }
         }
@@ -574,19 +572,17 @@ impl PcloudsProblem<'_> {
         let mut local_best: Option<Candidate> = None;
         let mut metrics_points = 0u64;
         let mut metrics_intervals = 0usize;
-        for (k, interval) in alive.iter().enumerate() {
+        for (k, (interval, points)) in alive.iter().zip(&mut mine).enumerate() {
             if owners[k] != proc.rank() {
                 continue;
             }
-            let mut points: Vec<(f64, u8)> =
-                mine[k].iter().map(|&(_, v, c)| (v, c)).collect();
             metrics_points += points.len() as u64;
             metrics_intervals += 1;
             let n = points.len().max(2) as u64;
             let ws = points.len() * 16;
             proc.charge_ws(OpKind::Compare, n * (n as f64).log2().ceil() as u64, ws);
             proc.charge_ws(OpKind::GiniEval, n, ws);
-            if let Some(c) = exact_interval_scan(&mut points, interval, node_total) {
+            if let Some(c) = exact_interval_scan(points, interval, node_total) {
                 local_best = Candidate::better(local_best, c);
             }
         }
@@ -1250,6 +1246,7 @@ impl OocProblem for PcloudsProblem<'_> {
             .flatten()
             .collect();
         all_alive.sort_by_key(|a| (a.0, a.1.attr, a.1.index));
+        let (alive_task, all_alive): (Vec<u64>, Vec<AliveInterval>) = all_alive.into_iter().unzip();
 
         // --- Phase 2c: single-assignment evaluation, batched across the
         // level: one chunked all-to-all stream covering every task's file.
@@ -1258,7 +1255,7 @@ impl OocProblem for PcloudsProblem<'_> {
         } else {
             let costs: Vec<f64> = all_alive
                 .iter()
-                .map(|(_, a)| {
+                .map(|a| {
                     let n = a.count.max(2) as f64;
                     n * n.log2()
                 })
@@ -1275,7 +1272,16 @@ impl OocProblem for PcloudsProblem<'_> {
                     .sum();
                 proc.allreduce(total_chunks as u64, u64::max) as usize
             };
-            let mut mine: HashMap<usize, Vec<(f64, u8)>> = HashMap::new();
+            // Per-task routing index over the task's (contiguous) share of
+            // `all_alive`, with that share's offset.
+            let routes: Vec<(usize, AliveIndex)> = (0..level as u64)
+                .map(|t| {
+                    let start = alive_task.partition_point(|&x| x < t);
+                    let end = alive_task.partition_point(|&x| x <= t);
+                    (start, AliveIndex::new(&all_alive[start..end]))
+                })
+                .collect();
+            let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); all_alive.len()];
             let mut task_pos = 0usize;
             let mut cursor = 0usize;
             for _ in 0..rounds {
@@ -1307,38 +1313,35 @@ impl OocProblem for PcloudsProblem<'_> {
                     (records.len() * all_alive.len().max(1)) as u64,
                 );
                 for (i, r) in &records {
-                    for (k, (t, interval)) in all_alive.iter().enumerate() {
-                        if *t as usize != *i {
-                            continue;
-                        }
-                        let v = r.num(interval.attr);
-                        if interval.contains(v) {
-                            buckets[owners[k]].push((k as u64, v, r.class));
-                        }
-                    }
+                    let (base, index) = &routes[*i];
+                    index.route(r, |k, v| {
+                        let k = base + k;
+                        buckets[owners[k]].push((k as u64, v, r.class));
+                    });
                 }
                 let received = proc.all_to_all(buckets);
                 for batch in received {
                     for (k, v, class) in batch {
-                        mine.entry(k as usize).or_default().push((v, class));
+                        mine[k as usize].push((v, class));
                     }
                 }
             }
             // Exact scans of the intervals this processor owns.
             let mut local_exact: Vec<(u64, Candidate)> = Vec::new();
-            for (k, (t, interval)) in all_alive.iter().enumerate() {
+            for (k, ((&t, interval), points)) in
+                alive_task.iter().zip(&all_alive).zip(&mut mine).enumerate()
+            {
                 if owners[k] != proc.rank() {
                     continue;
                 }
-                let mut points = mine.remove(&k).unwrap_or_default();
                 let n = points.len().max(2) as u64;
                 let ws = points.len() * 16;
                 proc.charge_ws(OpKind::Compare, n * (n as f64).log2().ceil() as u64, ws);
                 proc.charge_ws(OpKind::GiniEval, n, ws);
                 if let Some(c) =
-                    exact_interval_scan(&mut points, interval, &tasks[*t as usize].meta.counts)
+                    exact_interval_scan(points, interval, &tasks[t as usize].meta.counts)
                 {
-                    local_exact.push((*t, c));
+                    local_exact.push((t, c));
                 }
             }
             self.elect_batch(proc, &local_exact)

@@ -10,10 +10,10 @@
 //! the tree share cache lines and a child access is an indexed load into
 //! one slice instead of a dependent pointer chase.
 
-use pdc_cgm::wire::{DecodeResult, Wire};
+use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::{DecisionTree, Node, Splitter};
-use pdc_datagen::{Record, NUM_NUMERIC};
+use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
 
 use crate::predictor::Predictor;
 
@@ -218,10 +218,37 @@ impl Wire for FlatTree {
         self.nodes.encode(buf);
     }
 
+    /// Decodes and validates the node array, so that traversal of a decoded
+    /// tree always terminates in bounds: there is a root, every internal
+    /// node's children lie strictly after it (breadth-first order, which
+    /// rules out self-loops and cycles) and inside the array, and every
+    /// attribute id names a real attribute.
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(FlatTree {
-            nodes: Vec::<FlatNode>::decode(bytes)?,
-        })
+        let nodes = Vec::<FlatNode>::decode(bytes)?;
+        let invalid = |what| DecodeError {
+            what,
+            remaining: bytes.len(),
+            trailing: false,
+        };
+        if nodes.is_empty() {
+            return Err(invalid("flat tree has no root node"));
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            if n.first_child == 0 {
+                continue;
+            }
+            let first = n.first_child as usize;
+            if first <= i {
+                return Err(invalid("flat tree child does not follow its parent"));
+            }
+            if first + 1 >= nodes.len() {
+                return Err(invalid("flat tree child index out of range"));
+            }
+            if n.attr as usize >= NUM_NUMERIC + NUM_CATEGORICAL {
+                return Err(invalid("flat tree attribute id out of range"));
+            }
+        }
+        Ok(FlatTree { nodes })
     }
 }
 
@@ -305,6 +332,89 @@ mod tests {
         let flat = FlatTree::compile(&mixed_tree());
         let bytes = flat.to_bytes();
         assert_eq!(FlatTree::from_bytes(&bytes).unwrap(), flat);
+    }
+
+    /// Encode a raw node array the way [`FlatTree`] does, bypassing the
+    /// compiler's invariants.
+    fn raw(nodes: &[FlatNode]) -> Vec<u8> {
+        nodes.to_vec().to_bytes()
+    }
+
+    fn internal(first_child: u32, attr: u16) -> FlatNode {
+        FlatNode {
+            first_child,
+            attr,
+            class: 0,
+            test: 40.0f64.to_bits(),
+        }
+    }
+
+    fn decode_error(nodes: &[FlatNode]) -> &'static str {
+        FlatTree::from_bytes(&raw(nodes))
+            .expect_err("invalid tree decoded")
+            .what
+    }
+
+    #[test]
+    fn decode_rejects_a_self_loop() {
+        // Node 1 names itself as its left child: `predict` would never
+        // reach a leaf.
+        let nodes = [
+            internal(1, 0),
+            internal(1, 2),
+            FlatNode::leaf(0),
+            FlatNode::leaf(1),
+        ];
+        assert_eq!(
+            decode_error(&nodes),
+            "flat tree child does not follow its parent"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_a_back_edge() {
+        // Node 3 points back at node 1, closing the cycle 1 → 3 → 1.
+        let nodes = [
+            internal(1, 0),
+            internal(3, 0),
+            FlatNode::leaf(0),
+            internal(1, 2),
+            FlatNode::leaf(1),
+        ];
+        assert_eq!(
+            decode_error(&nodes),
+            "flat tree child does not follow its parent"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_out_of_range_child() {
+        let nodes = [
+            internal(1, 0),
+            FlatNode::leaf(0),
+            FlatNode::leaf(1),
+            internal(7, 2),
+        ];
+        assert_eq!(decode_error(&nodes), "flat tree child index out of range");
+        // The right sibling (`first_child + 1`) must exist too.
+        let nodes = [internal(1, 0), FlatNode::leaf(0)];
+        assert_eq!(decode_error(&nodes), "flat tree child index out of range");
+    }
+
+    #[test]
+    fn decode_rejects_empty_trees_and_unknown_attributes() {
+        assert_eq!(decode_error(&[]), "flat tree has no root node");
+        let bad_attr = (NUM_NUMERIC + NUM_CATEGORICAL) as u16;
+        let nodes = [internal(1, bad_attr), FlatNode::leaf(0), FlatNode::leaf(1)];
+        assert_eq!(decode_error(&nodes), "flat tree attribute id out of range");
+    }
+
+    #[test]
+    fn decode_accepts_every_compiled_tree() {
+        for tree in [mixed_tree(), DecisionTree::single_leaf(vec![1, 0])] {
+            let flat = FlatTree::compile(&tree);
+            assert_eq!(FlatTree::from_bytes(&flat.to_bytes()).unwrap(), flat);
+        }
     }
 
     #[test]

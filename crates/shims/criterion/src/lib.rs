@@ -41,6 +41,14 @@ impl BenchmarkId {
             name: format!("{}/{}", function_name.into(), parameter),
         }
     }
+
+    /// Identifier made of the displayed parameter alone (the group name
+    /// supplies the function part).
+    pub fn from_parameter(parameter: impl std::fmt::Display) -> Self {
+        BenchmarkId {
+            name: parameter.to_string(),
+        }
+    }
 }
 
 /// The timing loop handed to every benchmark closure.
@@ -208,6 +216,9 @@ mod tests {
         g.throughput(Throughput::Elements(10));
         g.bench_with_input(BenchmarkId::new("param", 4), &4u64, |b, &x| {
             b.iter(|| black_box(x * 2))
+        });
+        g.bench_with_input(BenchmarkId::from_parameter(8), &8u64, |b, &x| {
+            b.iter(|| black_box(x + 1))
         });
         g.finish();
     }
