@@ -44,6 +44,7 @@ impl NodeStats {
     }
 
     /// Account one record in every attribute's statistics.
+    #[inline]
     pub fn add_record(&mut self, r: &Record) {
         self.total[r.class as usize] += 1;
         for stats in &mut self.numeric {

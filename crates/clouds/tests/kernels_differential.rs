@@ -9,15 +9,23 @@
 //!   build a [`Candidate`] at every threshold and keep the winner with
 //!   [`Candidate::better`];
 //! * the single-pass `evaluate_alive_in_memory` must match one filter pass
-//!   per alive interval.
+//!   per alive interval;
+//! * the flat interval statistics (`AttrIntervalStats::add_value`,
+//!   `merge`, `NodeStats::add_record`) must hold the same counts, the same
+//!   range bits and encode to the same bytes as the per-interval vectors
+//!   located by binary search;
+//! * the radix sort behind `exact_interval_scan` must order points bit for
+//!   bit like the stable `sort_by(partial_cmp)`, and still reject NaN.
 
+use pdc_cgm::Wire;
 use pdc_clouds::derive::{accumulate_stats, evaluate_alive_in_memory};
 use pdc_clouds::gini::{add_assign, split_gini, sub};
+use pdc_clouds::numeric::RADIX_SORT_CUTOFF;
 use pdc_clouds::{
-    draw_sample, exact_interval_scan, AliveIndex, AliveInterval, AttrIntervalStats, Candidate,
-    ClassCounts, CloudsParams, IntervalSet, Splitter,
+    draw_sample, exact_interval_scan, sort_points, AliveIndex, AliveInterval, AttrIntervalStats,
+    Candidate, ClassCounts, CloudsParams, IntervalSet, NodeStats, Splitter,
 };
-use pdc_datagen::{generate, ClassifyFn, GeneratorConfig, Record, NUM_NUMERIC};
+use pdc_datagen::{generate, ClassifyFn, GeneratorConfig, Record, NUM_CLASSES, NUM_NUMERIC};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------
@@ -42,7 +50,7 @@ fn oracle_boundary_ginis(stats: &AttrIntervalStats, node_total: &ClassCounts) ->
     let mut out = Vec::with_capacity(nb);
     let mut left = vec![0u64; node_total.len()];
     for i in 0..nb {
-        add_assign(&mut left, &stats.counts[i]);
+        add_assign(&mut left, stats.counts(i));
         let right = sub(node_total, &left);
         out.push(split_gini(&left, &right));
     }
@@ -56,7 +64,7 @@ fn oracle_best_boundary(stats: &AttrIntervalStats, node_total: &ClassCounts) -> 
     let mut best: Option<Candidate> = None;
     let mut left = vec![0u64; node_total.len()];
     for (i, &g) in ginis.iter().enumerate() {
-        add_assign(&mut left, &stats.counts[i]);
+        add_assign(&mut left, stats.counts(i));
         let left_n: u64 = left.iter().sum();
         if left_n == 0 || left_n == n {
             continue;
@@ -132,6 +140,97 @@ fn oracle_evaluate_alive(
         }
     }
     best
+}
+
+/// The interval statistics as they were before the flat layout: one count
+/// vector and one optional range per interval, the interval found by a
+/// binary search over the boundaries.
+#[derive(Clone)]
+struct OracleStats {
+    attr: usize,
+    boundaries: Vec<f64>,
+    counts: Vec<ClassCounts>,
+    ranges: Vec<Option<(f64, f64)>>,
+}
+
+impl OracleStats {
+    fn new(attr: usize, intervals: &IntervalSet, nclasses: usize) -> Self {
+        let q = intervals.num_intervals();
+        OracleStats {
+            attr,
+            boundaries: intervals.boundaries().to_vec(),
+            counts: vec![vec![0; nclasses]; q],
+            ranges: vec![None; q],
+        }
+    }
+
+    fn add_value(&mut self, value: f64, class: u8) {
+        let i = self.boundaries.partition_point(|&b| b < value);
+        self.counts[i][class as usize] += 1;
+        self.ranges[i] = Some(match self.ranges[i] {
+            None => (value, value),
+            Some((lo, hi)) => (lo.min(value), hi.max(value)),
+        });
+    }
+
+    fn merge(&mut self, other: &OracleStats) {
+        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
+            add_assign(a, b);
+        }
+        for (a, b) in self.ranges.iter_mut().zip(&other.ranges) {
+            *a = match (*a, *b) {
+                (None, r) => r,
+                (r, None) => r,
+                (Some((alo, ahi)), Some((blo, bhi))) => Some((alo.min(blo), ahi.max(bhi))),
+            };
+        }
+    }
+
+    /// The wire bytes of the old struct, field by field.
+    fn to_bytes(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
+        self.attr.encode(&mut buf);
+        self.boundaries.encode(&mut buf);
+        self.counts.encode(&mut buf);
+        self.ranges.encode(&mut buf);
+        buf
+    }
+}
+
+/// The old `NodeStats::add_record` over the numeric attributes.
+fn oracle_add_record(total: &mut ClassCounts, numeric: &mut [OracleStats], r: &Record) {
+    total[r.class as usize] += 1;
+    for stats in numeric {
+        stats.add_value(r.num(stats.attr), r.class);
+    }
+}
+
+fn range_bits(r: Option<(f64, f64)>) -> Option<(u64, u64)> {
+    r.map(|(lo, hi)| (lo.to_bits(), hi.to_bits()))
+}
+
+/// Same counts, same range bits and same wire bytes as the oracle.
+fn check_stats(stats: &AttrIntervalStats, oracle: &OracleStats) {
+    prop_assert_eq!(stats.intervals.num_intervals(), oracle.counts.len());
+    for (i, row) in oracle.counts.iter().enumerate() {
+        prop_assert_eq!(stats.counts(i), &row[..], "interval {}", i);
+        prop_assert_eq!(
+            range_bits(stats.range(i)),
+            range_bits(oracle.ranges[i]),
+            "interval {}",
+            i
+        );
+    }
+    prop_assert_eq!(stats.to_bytes(), oracle.to_bytes());
+}
+
+/// The sort the radix sort replaced.
+fn oracle_sort(points: &mut [(f64, u8)]) {
+    points.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("NaN attribute value"));
+}
+
+fn point_bits(points: &[(f64, u8)]) -> Vec<(u64, u8)> {
+    points.iter().map(|&(v, c)| (v.to_bits(), c)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -216,6 +315,44 @@ fn probe(x: u32) -> f64 {
         2 => f64::NAN,
         _ => f64::from(x) / 2.0 - 2.5,
     }
+}
+
+/// Boundary from a raw integer: integers over `-12..12`, with raw 0 giving
+/// −0.0 (which then collides with the +0.0 of raw 12 and is deduplicated).
+fn boundary(x: u32) -> f64 {
+    if x == 0 {
+        -0.0
+    } else {
+        f64::from(x) - 12.0
+    }
+}
+
+/// Edge probe for the accumulator: half-steps over `-13..13` (hitting
+/// every boundary exactly and falling below the first and above the last),
+/// both zeros, the infinities, huge finite values and NaN.
+fn edge_value(x: u32) -> f64 {
+    match x {
+        0 => f64::NEG_INFINITY,
+        1 => f64::INFINITY,
+        2 => -0.0,
+        3 => 0.0,
+        4 => -1e300,
+        5 => 1e300,
+        6 => f64::NAN,
+        _ => f64::from(x) / 2.0 - 16.5,
+    }
+}
+
+/// Interval sets over the raw boundaries, either directly or through
+/// `from_sample`'s quantiles of them (which deduplicate repeats).
+fn edge_intervals(raw: &[u32], q: usize, quantiles: bool) -> IntervalSet {
+    let mut b: Vec<f64> = raw.iter().map(|&x| boundary(x)).collect();
+    if quantiles {
+        return IntervalSet::from_sample(&b, q);
+    }
+    b.sort_by(f64::total_cmp);
+    b.dedup();
+    IntervalSet::from_boundaries(b)
 }
 
 fn template() -> Record {
@@ -343,18 +480,163 @@ proptest! {
                     .collect()
             })
             .collect();
-        let stats = AttrIntervalStats {
-            attr: 4,
-            intervals,
-            counts,
-            ranges: vec![None; q],
-        };
+        // Ranges do not enter the boundary scans; any value will do where
+        // the interval is nonempty.
+        let ranges = counts
+            .iter()
+            .map(|row| row.iter().any(|&c| c != 0).then_some((0.0, 0.0)))
+            .collect();
+        let stats = AttrIntervalStats::from_parts(4, intervals, counts, ranges).unwrap();
         let total = stats.totals();
         let ginis: Vec<u64> = stats.boundary_ginis(&total).iter().map(|g| g.to_bits()).collect();
         let oracle: Vec<u64> =
             oracle_boundary_ginis(&stats, &total).iter().map(|g| g.to_bits()).collect();
         prop_assert_eq!(ginis, oracle);
         prop_assert_eq!(bits(&stats.best_boundary(&total)), bits(&oracle_best_boundary(&stats, &total)));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The locator answers exactly what `partition_point(|b| b < v)` does,
+    /// over arbitrary (non-NaN) boundaries — infinities, subnormals, spans
+    /// that overflow — and probes at, just beside and between them.
+    #[test]
+    fn locator_matches_binary_search(
+        raw in proptest::collection::vec(any::<f64>(), 0..60),
+        probes in proptest::collection::vec(any::<f64>(), 0..60),
+    ) {
+        let mut b: Vec<f64> = raw.into_iter().filter(|v| !v.is_nan()).collect();
+        b.sort_by(f64::total_cmp);
+        b.dedup();
+        let set = IntervalSet::from_boundaries(b.clone());
+        let beside = b.iter().flat_map(|&x| {
+            let bits = x.to_bits();
+            [x, f64::from_bits(bits.wrapping_add(1)), f64::from_bits(bits.wrapping_sub(1))]
+        });
+        let fixed = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, f64::MIN_POSITIVE];
+        for v in probes.into_iter().chain(beside).chain(fixed) {
+            prop_assert_eq!(set.interval_of(v), b.partition_point(|&x| x < v), "value {}", v);
+        }
+    }
+
+    /// `add_value` keeps the oracle's counts, range bits and wire bytes on
+    /// edge values, over direct and quantile boundaries (q = 1 included)
+    /// and 2–3 classes; `merge` of two halves matches the oracle's merge.
+    #[test]
+    fn accumulator_matches_oracle(
+        raw in proptest::collection::vec(0u32..25, 0..30),
+        q in 1usize..12,
+        quantiles in any::<bool>(),
+        values in proptest::collection::vec((0u32..70, 0u8..3), 0..150),
+        nclasses in 2usize..4,
+    ) {
+        let intervals = edge_intervals(&raw, q, quantiles);
+        let mut halves = [
+            (AttrIntervalStats::new(1, intervals.clone(), nclasses), OracleStats::new(1, &intervals, nclasses)),
+            (AttrIntervalStats::new(1, intervals.clone(), nclasses), OracleStats::new(1, &intervals, nclasses)),
+        ];
+        for (k, &(x, c)) in values.iter().enumerate() {
+            let (stats, oracle) = &mut halves[k % 2];
+            let (v, c) = (edge_value(x), c % nclasses as u8);
+            stats.add_value(v, c);
+            oracle.add_value(v, c);
+        }
+        for (stats, oracle) in &halves {
+            check_stats(stats, oracle);
+        }
+        let [(mut stats, mut oracle), (other, other_oracle)] = halves;
+        stats.merge(&other);
+        oracle.merge(&other_oracle);
+        check_stats(&stats, &oracle);
+        prop_assert_eq!(AttrIntervalStats::from_bytes(&stats.to_bytes()).unwrap(), stats);
+    }
+
+    /// `NodeStats::add_record` matches the old per-attribute accumulation
+    /// on records whose numeric fields are edge values.
+    #[test]
+    fn add_record_matches_oracle(
+        sample in proptest::collection::vec(0u32..70, 0..40),
+        q in 1usize..10,
+        values in proptest::collection::vec((0u32..70, 0u8..2), 0..200),
+    ) {
+        let mut sample_rec = template();
+        let sample: Vec<Record> = sample
+            .chunks(NUM_NUMERIC)
+            .map(|chunk| {
+                for (slot, &x) in sample_rec.numeric.iter_mut().zip(chunk.iter().cycle()) {
+                    // from_sample sorts with partial_cmp, so no NaN here.
+                    *slot = if x == 6 { 1.0 } else { edge_value(x) };
+                }
+                sample_rec
+            })
+            .collect();
+        let mut stats = NodeStats::from_sample(&sample, q);
+        let mut total = vec![0u64; NUM_CLASSES];
+        let mut oracle: Vec<OracleStats> = stats
+            .numeric
+            .iter()
+            .map(|s| OracleStats::new(s.attr, &s.intervals, NUM_CLASSES))
+            .collect();
+        let mut r = template();
+        for (k, &(x, c)) in values.iter().enumerate() {
+            for (a, slot) in r.numeric.iter_mut().enumerate() {
+                *slot = edge_value((x + 7 * a as u32 + k as u32) % 70);
+            }
+            r.class = c;
+            stats.add_record(&r);
+            oracle_add_record(&mut total, &mut oracle, &r);
+        }
+        prop_assert_eq!(&stats.total, &total);
+        for (s, o) in stats.numeric.iter().zip(&oracle) {
+            check_stats(s, o);
+        }
+    }
+
+    /// The radix sort orders points bit for bit like the stable
+    /// `sort_by(partial_cmp)`, on lengths on both sides of the cutoff and
+    /// values from a small pool (many ties, −0.0 mixed with +0.0,
+    /// infinities, subnormals).
+    #[test]
+    fn sort_matches_stable_sort_on_ties(
+        raw in proptest::collection::vec((0u8..12, 0u8..3), 0..3 * RADIX_SORT_CUTOFF),
+    ) {
+        const POOL: [f64; 12] = [
+            -0.0, 0.0, 1.0, -1.0, 2.5, f64::INFINITY, f64::NEG_INFINITY,
+            f64::MIN_POSITIVE / 4.0, -f64::MIN_POSITIVE / 4.0, 1e300, -0.0, 0.0,
+        ];
+        let points: Vec<(f64, u8)> = raw.iter().map(|&(v, c)| (POOL[v as usize], c)).collect();
+        let mut want = points.clone();
+        oracle_sort(&mut want);
+        let mut got = points;
+        sort_points(&mut got);
+        prop_assert_eq!(point_bits(&got), point_bits(&want));
+    }
+
+    /// All-equal keys — only −0.0 and +0.0 — keep their input order.
+    #[test]
+    fn sort_keeps_signed_zeros_in_input_order(
+        signs in proptest::collection::vec((any::<bool>(), 0u8..3), 0..3 * RADIX_SORT_CUTOFF),
+    ) {
+        let points: Vec<(f64, u8)> =
+            signs.iter().map(|&(neg, c)| (if neg { -0.0 } else { 0.0 }, c)).collect();
+        let mut got = points.clone();
+        sort_points(&mut got);
+        prop_assert_eq!(point_bits(&got), point_bits(&points));
+    }
+
+    /// Arbitrary non-NaN values, mostly distinct.
+    #[test]
+    fn sort_matches_stable_sort_on_arbitrary_values(
+        raw in proptest::collection::vec((any::<f64>(), 0u8..2), 0..400),
+    ) {
+        let points: Vec<(f64, u8)> = raw.into_iter().filter(|p| !p.0.is_nan()).collect();
+        let mut want = points.clone();
+        oracle_sort(&mut want);
+        let mut got = points;
+        sort_points(&mut got);
+        prop_assert_eq!(point_bits(&got), point_bits(&want));
     }
 }
 
@@ -431,4 +713,82 @@ fn index_rejects_overlapping_intervals() {
 fn exact_scan_still_rejects_nan() {
     let alive = alive_interval(0, 0, None, None, vec![0, 0]);
     exact_interval_scan(&mut [(1.0, 0), (f64::NAN, 1)], &alive, &vec![1, 1]);
+}
+
+#[test]
+fn sort_handles_lengths_around_the_cutoff() {
+    for n in [
+        0,
+        1,
+        2,
+        RADIX_SORT_CUTOFF - 1,
+        RADIX_SORT_CUTOFF,
+        RADIX_SORT_CUTOFF + 1,
+        1000,
+    ] {
+        let points: Vec<(f64, u8)> = (0..n)
+            .map(|i| (((i * 7919) % 101) as f64 - 50.0, (i % 3) as u8))
+            .collect();
+        let mut want = points.clone();
+        oracle_sort(&mut want);
+        let mut got = points;
+        sort_points(&mut got);
+        assert_eq!(point_bits(&got), point_bits(&want), "n = {n}");
+    }
+}
+
+#[test]
+#[should_panic(expected = "NaN attribute value")]
+fn radix_sort_rejects_nan() {
+    let mut points: Vec<(f64, u8)> = (0..2 * RADIX_SORT_CUTOFF).map(|i| (i as f64, 0)).collect();
+    points[RADIX_SORT_CUTOFF].0 = f64::NAN;
+    sort_points(&mut points);
+}
+
+#[test]
+#[should_panic(expected = "NaN attribute value")]
+fn single_nan_point_panics() {
+    let alive = alive_interval(0, 0, None, None, vec![0, 0]);
+    exact_interval_scan(&mut [(f64::NAN, 1)], &alive, &vec![0, 1]);
+}
+
+#[test]
+fn decode_rejects_inconsistent_interval_statistics() {
+    let intervals = IntervalSet::from_boundaries(vec![1.0]);
+    let encode = |counts: Vec<ClassCounts>, ranges: Vec<Option<(f64, f64)>>| {
+        let mut buf = Vec::new();
+        0usize.encode(&mut buf);
+        intervals.encode(&mut buf);
+        counts.encode(&mut buf);
+        ranges.encode(&mut buf);
+        buf
+    };
+    let what = |bytes: Vec<u8>| AttrIntervalStats::from_bytes(&bytes).unwrap_err().what;
+    assert_eq!(
+        what(encode(vec![vec![1, 0], vec![0, 0]], vec![None, None])),
+        "interval range presence does not match its count"
+    );
+    assert_eq!(
+        what(encode(
+            vec![vec![0, 0], vec![0, 0]],
+            vec![None, Some((2.0, 2.0))]
+        )),
+        "interval range presence does not match its count"
+    );
+    assert_eq!(
+        what(encode(vec![vec![0, 0], vec![0]], vec![None, None])),
+        "interval count rows differ in width"
+    );
+    assert_eq!(
+        what(encode(vec![vec![0, 0]], vec![None])),
+        "interval statistics do not match the interval count"
+    );
+    let mut buf = Vec::new();
+    vec![2.0, 1.0].encode(&mut buf);
+    assert_eq!(
+        IntervalSet::from_bytes(&buf).unwrap_err().what,
+        "interval boundaries not strictly ascending"
+    );
+    let ok = encode(vec![vec![1, 0], vec![0, 0]], vec![Some((0.5, 0.5)), None]);
+    assert_eq!(AttrIntervalStats::from_bytes(&ok).unwrap().to_bytes(), ok);
 }

@@ -54,5 +54,5 @@ pub use disk::{BufferedWriter, ChunkedReader, NodeDisk, TypedFile};
 pub use engine::{EngineConfig, IoEngine};
 pub use farm::DiskFarm;
 pub use prefetch::ReadAhead;
-pub use rec::{decode_batch, encode_batch, Rec};
+pub use rec::{decode_batch, encode_batch, Rec, RecBatch};
 pub use redistribute::redistribute;

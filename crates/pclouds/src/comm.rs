@@ -19,6 +19,11 @@
 use pdc_cgm::wire::{decode_varint, encode_varint, DecodeError, DecodeResult, Wire};
 use pdc_clouds::{AttrIntervalStats, ClassCounts, CountMatrix};
 
+/// The SSE point exchange's per-owner batch: `(alive interval, value,
+/// class)` points, pushed straight into the wire format of
+/// `Vec<(u64, f64, u8)>`, which is what travels.
+pub type PointBatch = pdc_pario::RecBatch<(u64, f64, u8)>;
+
 /// One attribute's statistics inside a batched histogram message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HistPayload {
@@ -100,8 +105,8 @@ impl HistMsg {
         // 1 tag byte + the fixed-width field layout of the dense form.
         match &self.payload {
             HistPayload::Numeric(s) => {
-                let q = s.counts.len();
-                let nclasses = s.counts.first().map_or(0, |c| c.len());
+                let q = s.intervals.num_intervals();
+                let nclasses = s.num_classes();
                 let boundaries = s.intervals.boundaries().len();
                 // attr + intervals(len + f64s) + counts(len + q rows of
                 // (len + nclasses u64s)) + ranges(len + q Some(min,max)).
@@ -116,16 +121,21 @@ impl HistMsg {
     }
 }
 
-/// Encode a count table sparsely: dimensions, then varint (gap, value)
-/// pairs over the non-zero cells in row-major order.
-fn encode_sparse_counts(buf: &mut Vec<u8>, counts: &[ClassCounts]) {
-    let cols = counts.first().map_or(0, |c| c.len());
-    encode_varint(buf, counts.len() as u64);
+/// Encode a `rows × cols` count table, given as its cells in row-major
+/// order, sparsely: dimensions, then varint (gap, value) pairs over the
+/// non-zero cells.
+fn encode_sparse_counts<'a>(
+    buf: &mut Vec<u8>,
+    rows: usize,
+    cols: usize,
+    cells: impl Iterator<Item = &'a u64> + Clone,
+) {
+    encode_varint(buf, rows as u64);
     encode_varint(buf, cols as u64);
-    let nonzero = counts.iter().flatten().filter(|&&v| v != 0).count();
+    let nonzero = cells.clone().filter(|&&v| v != 0).count();
     encode_varint(buf, nonzero as u64);
     let mut prev = 0u64;
-    for (idx, &v) in counts.iter().flatten().enumerate() {
+    for (idx, &v) in cells.enumerate() {
         if v != 0 {
             encode_varint(buf, idx as u64 - prev);
             encode_varint(buf, v);
@@ -182,8 +192,9 @@ impl Wire for HistMsg {
                 buf.push(TAG_SPARSE_NUMERIC);
                 encode_varint(buf, s.attr as u64);
                 s.intervals.encode(buf);
-                encode_sparse_counts(buf, &s.counts);
-                s.ranges.encode(buf);
+                let rows = s.intervals.num_intervals();
+                encode_sparse_counts(buf, rows, s.num_classes(), s.count_rows().flatten());
+                s.encode_ranges(buf);
             }
             (HistPayload::Categorical(m), false) => {
                 buf.push(TAG_DENSE_CATEGORICAL);
@@ -192,7 +203,8 @@ impl Wire for HistMsg {
             (HistPayload::Categorical(m), true) => {
                 buf.push(TAG_SPARSE_CATEGORICAL);
                 encode_varint(buf, m.attr as u64);
-                encode_sparse_counts(buf, &m.counts);
+                let cols = m.counts.first().map_or(0, |c| c.len());
+                encode_sparse_counts(buf, m.counts.len(), cols, m.counts.iter().flatten());
             }
         }
     }
@@ -206,15 +218,13 @@ impl Wire for HistMsg {
                 let intervals = pdc_clouds::IntervalSet::decode(bytes)?;
                 let counts = decode_sparse_counts(bytes)?;
                 let ranges = Vec::<Option<(f64, f64)>>::decode(bytes)?;
-                Ok(HistMsg::numeric(
-                    AttrIntervalStats {
-                        attr,
-                        intervals,
-                        counts,
-                        ranges,
-                    },
-                    true,
-                ))
+                let stats = AttrIntervalStats::from_parts(attr, intervals, counts, ranges)
+                    .map_err(|what| DecodeError {
+                        what,
+                        remaining: bytes.len(),
+                        trailing: false,
+                    })?;
+                Ok(HistMsg::numeric(stats, true))
             }
             TAG_DENSE_CATEGORICAL => {
                 Ok(HistMsg::categorical(CountMatrix::decode(bytes)?, false))
@@ -239,12 +249,13 @@ mod tests {
     use pdc_clouds::IntervalSet;
 
     fn sample_numeric() -> AttrIntervalStats {
-        AttrIntervalStats {
-            attr: 3,
-            intervals: IntervalSet::from_boundaries(vec![1.0, 2.5, 7.0]),
-            counts: vec![vec![0, 5], vec![0, 0], vec![12, 0], vec![0, 1]],
-            ranges: vec![Some((0.1, 0.9)), None, Some((3.0, 6.0)), Some((9.0, 9.0))],
-        }
+        AttrIntervalStats::from_parts(
+            3,
+            IntervalSet::from_boundaries(vec![1.0, 2.5, 7.0]),
+            vec![vec![0, 5], vec![0, 0], vec![12, 0], vec![0, 1]],
+            vec![Some((0.1, 0.9)), None, Some((3.0, 6.0)), Some((9.0, 9.0))],
+        )
+        .unwrap()
     }
 
     fn sample_categorical() -> CountMatrix {
@@ -269,17 +280,17 @@ mod tests {
     #[test]
     fn sparse_encoding_is_smaller_for_sparse_counts() {
         // A mostly-zero table: the sparse form must beat the dense form.
-        let stats = AttrIntervalStats {
-            attr: 0,
-            intervals: IntervalSet::from_boundaries((1..64).map(f64::from).collect()),
-            counts: {
-                let mut c = vec![vec![0u64, 0u64]; 64];
-                c[5][1] = 3;
-                c[40][0] = 17;
-                c
-            },
-            ranges: vec![None; 64],
-        };
+        let mut stats = AttrIntervalStats::new(
+            0,
+            IntervalSet::from_boundaries((1..64).map(f64::from).collect()),
+            2,
+        );
+        for _ in 0..3 {
+            stats.add_value(5.5, 1);
+        }
+        for _ in 0..17 {
+            stats.add_value(40.5, 0);
+        }
         let dense = HistMsg::numeric(stats.clone(), false).to_bytes();
         let sparse = HistMsg::numeric(stats, true).to_bytes();
         assert!(
@@ -293,17 +304,18 @@ mod tests {
     #[test]
     fn dense_hint_matches_dense_encoding_and_ignores_values() {
         let full = sample_numeric();
-        let mut empty = full.clone();
-        for row in &mut empty.counts {
-            row.iter_mut().for_each(|v| *v = 0);
-        }
+        let empty = AttrIntervalStats::new(full.attr, full.intervals.clone(), 2);
         let dense_full = HistMsg::numeric(full.clone(), false);
         let sparse_empty = HistMsg::numeric(empty, true);
         // Same shape => same hint, regardless of values or wire form...
         assert_eq!(dense_full.dense_hint(), sparse_empty.dense_hint());
-        // ...and the hint prices the dense layout (ranges at worst case).
+        // ...and the hint prices the dense layout (ranges at worst case:
+        // every interval holds a value).
         let mut worst = full;
-        worst.ranges = vec![Some((0.0, 1.0)); worst.ranges.len()];
+        for v in [2.0, 2.5] {
+            worst.add_value(v, 0);
+        }
+        assert!((0..4).all(|i| worst.range(i).is_some()));
         let encoded = HistMsg::numeric(worst.clone(), false).to_bytes();
         assert_eq!(HistMsg::numeric(worst, false).dense_hint(), encoded.len());
         let cat = HistMsg::categorical(sample_categorical(), false);

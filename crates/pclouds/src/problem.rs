@@ -37,7 +37,7 @@ use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
 use pdc_dnc::{lpt_assign, Outcome, OocProblem, Task};
 use pdc_pario::{DiskFarm, Rec};
 
-use crate::comm::{HistMsg, HistPayload};
+use crate::comm::{HistMsg, HistPayload, PointBatch};
 use crate::config::{BoundaryEval, PcloudsConfig};
 use crate::state::SharedBuild;
 
@@ -48,12 +48,11 @@ use crate::state::SharedBuild;
 fn take_numeric(stats: &mut NodeStats, a: usize) -> pdc_clouds::AttrIntervalStats {
     std::mem::replace(
         &mut stats.numeric[a],
-        pdc_clouds::AttrIntervalStats {
-            attr: a,
-            intervals: pdc_clouds::IntervalSet::from_boundaries(Vec::new()),
-            counts: Vec::new(),
-            ranges: Vec::new(),
-        },
+        pdc_clouds::AttrIntervalStats::new(
+            a,
+            pdc_clouds::IntervalSet::from_boundaries(Vec::new()),
+            0,
+        ),
     )
 }
 
@@ -67,6 +66,25 @@ fn take_categorical(stats: &mut NodeStats, a: usize) -> pdc_clouds::CountMatrix 
             counts: Vec::new(),
         },
     )
+}
+
+/// One SSE point exchange: a personalized all-to-all of the per-owner
+/// point batches, whose points `(alive interval, value, class)` land in
+/// the receiver's per-interval lists. Returns the emptied batches for the
+/// next round, so their buffers are reused.
+fn exchange_points(
+    proc: &mut Proc,
+    buckets: Vec<PointBatch>,
+    mine: &mut [Vec<(f64, u8)>],
+) -> Vec<PointBatch> {
+    let mut received = proc.all_to_all(buckets);
+    for batch in &mut received {
+        for (k, v, class) in batch.iter() {
+            mine[k as usize].push((v, class));
+        }
+        batch.clear();
+    }
+    received
 }
 
 /// Task description: the node's global class distribution.
@@ -313,8 +331,8 @@ impl PcloudsProblem<'_> {
                     part.push((
                         attr_stats.attr as u64,
                         lo as u64,
-                        attr_stats.counts[lo..hi].to_vec(),
-                        attr_stats.ranges[lo..hi].to_vec(),
+                        (lo..hi).map(|i| attr_stats.counts(i).to_vec()).collect(),
+                        (lo..hi).map(|i| attr_stats.range(i)).collect(),
                     ));
                 }
             }
@@ -537,6 +555,7 @@ impl PcloudsProblem<'_> {
         // paper's per-interval tests, whatever the index saves.
         let index = AliveIndex::new(alive);
         let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); alive.len()];
+        let mut buckets: Vec<PointBatch> = vec![PointBatch::new(); p];
         let mut cursor = 0usize;
         for _ in 0..rounds {
             let chunk: Vec<Record> = {
@@ -556,16 +575,10 @@ impl PcloudsProblem<'_> {
                 OpKind::SplitTest,
                 (chunk.len() * alive.len().max(1)) as u64,
             );
-            let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
             for r in &chunk {
-                index.route(r, |k, v| buckets[owners[k]].push((k as u64, v, r.class)));
+                index.route(r, |k, v| buckets[owners[k]].push(&(k as u64, v, r.class)));
             }
-            let received = proc.all_to_all(buckets);
-            for batch in received {
-                for (k, v, class) in batch {
-                    mine[k as usize].push((v, class));
-                }
-            }
+            buckets = exchange_points(proc, buckets, &mut mine);
         }
 
         // Exact scans of the intervals this processor owns.
@@ -1282,6 +1295,7 @@ impl OocProblem for PcloudsProblem<'_> {
                 })
                 .collect();
             let mut mine: Vec<Vec<(f64, u8)>> = vec![Vec::new(); all_alive.len()];
+            let mut buckets: Vec<PointBatch> = vec![PointBatch::new(); p];
             let mut task_pos = 0usize;
             let mut cursor = 0usize;
             for _ in 0..rounds {
@@ -1307,7 +1321,6 @@ impl OocProblem for PcloudsProblem<'_> {
                         budget -= take;
                     }
                 }
-                let mut buckets: Vec<Vec<(u64, f64, u8)>> = vec![Vec::new(); p];
                 proc.charge(
                     OpKind::SplitTest,
                     (records.len() * all_alive.len().max(1)) as u64,
@@ -1316,15 +1329,10 @@ impl OocProblem for PcloudsProblem<'_> {
                     let (base, index) = &routes[*i];
                     index.route(r, |k, v| {
                         let k = base + k;
-                        buckets[owners[k]].push((k as u64, v, r.class));
+                        buckets[owners[k]].push(&(k as u64, v, r.class));
                     });
                 }
-                let received = proc.all_to_all(buckets);
-                for batch in received {
-                    for (k, v, class) in batch {
-                        mine[k as usize].push((v, class));
-                    }
-                }
+                buckets = exchange_points(proc, buckets, &mut mine);
             }
             // Exact scans of the intervals this processor owns.
             let mut local_exact: Vec<(u64, Candidate)> = Vec::new();

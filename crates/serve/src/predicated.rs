@@ -13,10 +13,10 @@
 //! wider 32-byte node. Which side wins depends on how balanced the tree
 //! is — exactly what `fig_serving` ablates.
 
-use pdc_cgm::wire::{DecodeResult, Wire};
+use pdc_cgm::wire::{DecodeError, DecodeResult, Wire};
 use pdc_cgm::{OpKind, Proc};
 use pdc_clouds::{DecisionTree, Node, Splitter};
-use pdc_datagen::Record;
+use pdc_datagen::{Record, NUM_CATEGORICAL, NUM_NUMERIC};
 
 use crate::predictor::Predictor;
 
@@ -193,11 +193,48 @@ impl Wire for PredicatedTree {
         self.depth.encode(buf);
     }
 
+    /// Decodes and validates the tree, so that `predict` on a decoded tree
+    /// stays in bounds and takes at most one step per internal node: there
+    /// is a root; a node whose step targets include itself is a leaf and
+    /// must loop onto itself both ways; every other node's targets lie
+    /// strictly after it (breadth-first order, which rules out cycles) and
+    /// inside the array; both attribute ids of every node name real
+    /// attributes (each step evaluates both tests); the test selector is 0
+    /// or 1; and the padded depth is at most `(nodes - 1) / 2`, the deepest
+    /// a tree of full binary nodes can be.
     fn decode(bytes: &mut &[u8]) -> DecodeResult<Self> {
-        Ok(PredicatedTree {
-            nodes: Vec::<PredNode>::decode(bytes)?,
-            depth: u32::decode(bytes)?,
-        })
+        let nodes = Vec::<PredNode>::decode(bytes)?;
+        let depth = u32::decode(bytes)?;
+        let invalid = |what| DecodeError {
+            what,
+            remaining: bytes.len(),
+            trailing: false,
+        };
+        if nodes.is_empty() {
+            return Err(invalid("predicated tree has no root node"));
+        }
+        for (i, n) in nodes.iter().enumerate() {
+            let [left, right] = n.children.map(|c| c as usize);
+            if left == i || right == i {
+                if left != right {
+                    return Err(invalid("predicated tree leaf does not loop onto itself"));
+                }
+            } else if left < i || right < i {
+                return Err(invalid("predicated tree child does not follow its parent"));
+            } else if left >= nodes.len() || right >= nodes.len() {
+                return Err(invalid("predicated tree child index out of range"));
+            }
+            if n.nattr as usize >= NUM_NUMERIC || n.cattr as usize >= NUM_CATEGORICAL {
+                return Err(invalid("predicated tree attribute id out of range"));
+            }
+            if n.is_cat > 1 {
+                return Err(invalid("predicated tree test selector out of range"));
+            }
+        }
+        if depth as usize > (nodes.len() - 1) / 2 {
+            return Err(invalid("predicated tree depth exceeds its node count"));
+        }
+        Ok(PredicatedTree { nodes, depth })
     }
 }
 
@@ -291,5 +328,118 @@ mod tests {
         let pred = PredicatedTree::compile(&lopsided_tree());
         let bytes = pred.to_bytes();
         assert_eq!(PredicatedTree::from_bytes(&bytes).unwrap(), pred);
+    }
+
+    /// Encode a raw node array and depth the way [`PredicatedTree`] does,
+    /// bypassing the compiler's invariants.
+    fn raw(nodes: &[PredNode], depth: u32) -> Vec<u8> {
+        (nodes.to_vec(), depth).to_bytes()
+    }
+
+    fn decode_error(nodes: &[PredNode], depth: u32) -> &'static str {
+        PredicatedTree::from_bytes(&raw(nodes, depth))
+            .expect_err("invalid tree decoded")
+            .what
+    }
+
+    fn node(children: [u32; 2]) -> PredNode {
+        PredNode {
+            children,
+            thr: 40.0,
+            mask: 0,
+            nattr: 2,
+            cattr: 0,
+            is_cat: 0,
+            class: 0,
+        }
+    }
+
+    /// Root splitting into two self-looped leaves.
+    fn stump() -> [PredNode; 3] {
+        [node([1, 2]), node([1, 1]), node([2, 2])]
+    }
+
+    #[test]
+    fn decode_accepts_compiled_trees() {
+        for tree in [lopsided_tree(), DecisionTree::single_leaf(vec![1, 0])] {
+            let pred = PredicatedTree::compile(&tree);
+            assert_eq!(PredicatedTree::from_bytes(&pred.to_bytes()).unwrap(), pred);
+        }
+        assert!(PredicatedTree::from_bytes(&raw(&stump(), 1)).is_ok());
+    }
+
+    #[test]
+    fn decode_rejects_an_empty_tree() {
+        assert_eq!(decode_error(&[], 0), "predicated tree has no root node");
+    }
+
+    #[test]
+    fn decode_rejects_a_back_edge() {
+        // Node 2 steps back to node 1: a cycle instead of a leaf.
+        let nodes = [node([1, 2]), node([1, 1]), node([1, 3]), node([3, 3])];
+        assert_eq!(
+            decode_error(&nodes, 1),
+            "predicated tree child does not follow its parent"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_out_of_range_child() {
+        let nodes = [node([1, 3]), node([1, 1]), node([2, 2])];
+        assert_eq!(
+            decode_error(&nodes, 1),
+            "predicated tree child index out of range"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_a_half_looped_leaf() {
+        let mut nodes = stump();
+        nodes[1].children = [1, 2];
+        assert_eq!(
+            decode_error(&nodes, 1),
+            "predicated tree leaf does not loop onto itself"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_unbounded_depth() {
+        // A padded depth beyond the node count would make every record
+        // idle for up to 2^32 steps.
+        assert_eq!(
+            decode_error(&stump(), u32::MAX),
+            "predicated tree depth exceeds its node count"
+        );
+        assert_eq!(
+            decode_error(&stump(), 2),
+            "predicated tree depth exceeds its node count"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_unknown_attribute_ids() {
+        let mut nodes = stump();
+        nodes[0].nattr = NUM_NUMERIC as u16;
+        assert_eq!(
+            decode_error(&nodes, 1),
+            "predicated tree attribute id out of range"
+        );
+        // Leaves evaluate both tests too, so their ids are checked as well.
+        let mut nodes = stump();
+        nodes[2].cattr = NUM_CATEGORICAL as u16;
+        assert_eq!(
+            decode_error(&nodes, 1),
+            "predicated tree attribute id out of range"
+        );
+    }
+
+    #[test]
+    fn decode_rejects_an_unknown_test_selector() {
+        let mut nodes = stump();
+        nodes[0].is_cat = 2;
+        assert_eq!(
+            decode_error(&nodes, 1),
+            "predicated tree test selector out of range"
+        );
     }
 }
