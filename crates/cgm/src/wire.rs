@@ -82,7 +82,9 @@ pub trait Wire: Sized {
     }
 }
 
-fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> DecodeResult<&'a [u8]> {
+/// Split the first `n` bytes off `buf`, or fail with a short-input error
+/// naming `what`. The building block of fixed-width decoders.
+pub fn take<'a>(buf: &mut &'a [u8], n: usize, what: &'static str) -> DecodeResult<&'a [u8]> {
     if buf.len() < n {
         return Err(DecodeError {
             what,
@@ -187,12 +189,24 @@ impl Wire for () {
     }
 }
 
+/// Append `items` in the layout of `Vec<T>`: the item count as a `u64`,
+/// then each item as `encode_item` writes it. Lets a type whose storage is
+/// not a `Vec` (a flat array read as rows, values computed on the fly)
+/// send the bytes of the vector it stands for without building it.
+pub fn encode_seq<I: ExactSizeIterator>(
+    buf: &mut Vec<u8>,
+    items: I,
+    mut encode_item: impl FnMut(&mut Vec<u8>, I::Item),
+) {
+    (items.len() as u64).encode(buf);
+    for item in items {
+        encode_item(buf, item);
+    }
+}
+
 impl<T: Wire> Wire for Vec<T> {
     fn encode(&self, buf: &mut Vec<u8>) {
-        (self.len() as u64).encode(buf);
-        for item in self {
-            item.encode(buf);
-        }
+        encode_seq(buf, self.iter(), |buf, item| item.encode(buf));
     }
     fn decode(buf: &mut &[u8]) -> DecodeResult<Self> {
         let len = u64::decode(buf)? as usize;
@@ -382,6 +396,16 @@ mod tests {
     fn bad_bool_and_option_tags() {
         assert!(bool::from_bytes(&[2]).is_err());
         assert!(Option::<u8>::from_bytes(&[9, 0]).is_err());
+    }
+
+    #[test]
+    fn encode_seq_writes_the_vec_layout() {
+        let rows = [1u64, 2, 3, 4, 5, 6];
+        let mut buf = Vec::new();
+        encode_seq(&mut buf, rows.chunks(2), |buf, row| {
+            encode_seq(buf, row.iter(), |buf, c| c.encode(buf))
+        });
+        assert_eq!(buf, vec![vec![1u64, 2], vec![3, 4], vec![5, 6]].to_bytes());
     }
 
     #[test]
