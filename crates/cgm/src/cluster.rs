@@ -13,6 +13,7 @@ use crate::exec::{host_parallelism, Backend, ExecMode, Scheduler, WaitBoard, ABO
 use crate::fault::FaultPlan;
 use crate::mailbox::Mailbox;
 use crate::proc::{Proc, SharedMachine};
+use crate::rendezvous::Rendezvous;
 
 /// Configuration of one simulated machine.
 #[derive(Debug, Clone)]
@@ -182,6 +183,8 @@ impl Cluster {
             faults_inert: self.config.faults.is_inert(),
             collectives: self.config.collectives,
             record: self.config.record,
+            world: (0..self.nprocs).collect(),
+            rendezvous: Rendezvous::default(),
         });
         let f = &f;
         let event = matches!(self.config.backend, Backend::Event);

@@ -9,6 +9,13 @@
 //! | global combine       | `O(ts·log p + tw·m)` (per step `m`) |
 //! | prefix sum           | `O((ts + tw·m)·log p)`              |
 //!
+//! The fixed-schedule collectives — [`Proc::all_to_all`],
+//! [`Proc::all_gather`] and [`Proc::all_gather_ring`] — run their schedule
+//! as one physical rendezvous per call and replay each step's accounting
+//! (see the `rendezvous` module); their virtual cost is the mailbox
+//! schedule's, bit for bit. The rest exchange mailbox messages step by
+//! step.
+//!
 //! All collectives must be called by **every** processor of the machine in
 //! the same program order (SPMD discipline, exactly as with MPI). Combine
 //! functions must be associative and commutative — combination order is
@@ -16,6 +23,7 @@
 
 use crate::fault::FaultError;
 use crate::proc::{Proc, RESERVED_TAG_BASE};
+use crate::rendezvous::{Delivered, Payload, Schedule};
 use crate::topology::{is_pow2, log2ceil, partner};
 use crate::wire::Wire;
 
@@ -426,7 +434,7 @@ impl Proc {
         if p == 1 {
             return vec![value];
         }
-        let mut acc: Vec<(u64, Vec<u8>)> = vec![(self.rank() as u64, value.to_bytes())];
+        let bytes = value.to_bytes();
         // Under adaptive tuning the schedule is picked by modeled cost. The
         // comparison is size-independent on this machine (both schedules
         // share the `tw·m·(p-1)` bandwidth term and the ring pays `p - 1`
@@ -436,37 +444,33 @@ impl Proc {
         let use_doubling = is_pow2(p) && {
             if self.collective_tuning().adaptive {
                 let net = self.cost_model().network;
-                let bytes = acc[0].1.len();
-                net.doubling_all_gather_cost(bytes, p) <= net.ring_all_gather_cost(bytes, p)
+                net.doubling_all_gather_cost(bytes.len(), p)
+                    <= net.ring_all_gather_cost(bytes.len(), p)
             } else {
                 true
             }
         };
-        if use_doubling {
-            let d = log2ceil(p);
-            for i in 0..d {
-                let peer = partner(self.rank(), i);
-                let mut other: Vec<(u64, Vec<u8>)> =
-                    self.exchange(peer, TAG_ALLGATHER + (i << 8), &acc);
-                acc.append(&mut other);
-            }
-        } else {
-            // Ring: p-1 steps, forward what was received in the previous step.
-            let next = (self.rank() + 1) % p;
-            let prev = (self.rank() + p - 1) % p;
-            let mut to_forward = acc.clone();
-            for i in 0..p - 1 {
-                let tag = TAG_ALLGATHER + ((i as u32 & 0xFF) << 8);
-                self.send(next, tag, &to_forward);
-                let received: Vec<(u64, Vec<u8>)> = self.recv(prev, tag);
-                acc.extend(received.iter().cloned());
-                to_forward = received;
-            }
-        }
-        acc.sort_by_key(|(rank, _)| *rank);
-        debug_assert_eq!(acc.len(), p);
-        acc.into_iter()
-            .map(|(_, bytes)| T::from_bytes(&bytes).expect("all_gather decode"))
+        let schedule = if use_doubling { Schedule::Doubling } else { Schedule::Ring };
+        self.gather_values("all_gather", schedule, TAG_ALLGATHER, bytes)
+    }
+
+    /// Run an all-gather `schedule` of encoded `bytes` as one rendezvous
+    /// and decode every member's value, indexed by rank.
+    fn gather_values<T: Wire>(
+        &mut self,
+        op: &'static str,
+        schedule: Schedule,
+        tag_base: u32,
+        bytes: Vec<u8>,
+    ) -> Vec<T> {
+        let Delivered::Values(values) =
+            self.rendezvous(op, schedule, tag_base, Payload::Value(bytes))
+        else {
+            unreachable!("an all-gather delivers values")
+        };
+        values
+            .iter()
+            .map(|bytes| T::from_bytes(bytes).expect("all_gather decode"))
             .collect()
     }
 
@@ -487,26 +491,10 @@ impl Proc {
     }
 
     fn all_gather_ring_inner<T: Wire>(&mut self, value: T) -> Vec<T> {
-        let p = self.nprocs();
-        if p == 1 {
+        if self.nprocs() == 1 {
             return vec![value];
         }
-        let next = (self.rank() + 1) % p;
-        let prev = (self.rank() + p - 1) % p;
-        let mut acc: Vec<(u64, Vec<u8>)> = vec![(self.rank() as u64, value.to_bytes())];
-        let mut to_forward = acc.clone();
-        for i in 0..p - 1 {
-            let tag = TAG_ALLGATHER_RING + ((i as u32 & 0xFF) << 8);
-            self.send(next, tag, &to_forward);
-            let received: Vec<(u64, Vec<u8>)> = self.recv(prev, tag);
-            acc.extend(received.iter().cloned());
-            to_forward = received;
-        }
-        acc.sort_by_key(|(rank, _)| *rank);
-        debug_assert_eq!(acc.len(), p);
-        acc.into_iter()
-            .map(|(_, bytes)| T::from_bytes(&bytes).expect("all_gather decode"))
-            .collect()
+        self.gather_values("all_gather_ring", Schedule::Ring, TAG_ALLGATHER_RING, value.to_bytes())
     }
 
     // ------------------------------------------------------------------
@@ -768,43 +756,47 @@ impl Proc {
         out
     }
 
-    fn all_to_all_inner<T: Wire>(&mut self, mut parts: Vec<T>) -> Vec<T> {
+    fn all_to_all_inner<T: Wire>(&mut self, parts: Vec<T>) -> Vec<T> {
         let p = self.nprocs();
-        assert_eq!(parts.len(), p, "all_to_all needs exactly one part per rank");
         if p == 1 {
+            assert_eq!(parts.len(), p, "all_to_all needs exactly one part per rank");
             return parts;
         }
-        // Pairwise exchange schedule: in step k talk to rank ^ k when p is a
-        // power of two (perfectly matched pairs), otherwise (rank + k) mod p.
-        let mut slots: Vec<Option<T>> = (0..p).map(|_| None).collect();
-        // Keep own part.
-        let own = parts.remove(self.rank());
-        // Re-insert placeholder to keep indices stable.
-        parts.insert(self.rank(), own);
-        let mut parts: Vec<Option<T>> = parts.into_iter().map(Some).collect();
-        slots[self.rank()] = parts[self.rank()].take();
-        if is_pow2(p) {
-            for k in 1..p {
-                let peer = self.rank() ^ k;
-                let tag = TAG_ALLTOALL + ((k as u32 & 0xFFFF) << 8);
-                let outgoing = parts[peer].take().expect("part already sent");
-                let received = self.exchange(peer, tag, &outgoing);
-                slots[peer] = Some(received);
-            }
-        } else {
-            for k in 1..p {
-                let to = (self.rank() + k) % p;
-                let from = (self.rank() + p - k) % p;
-                let tag = TAG_ALLTOALL + ((k as u32 & 0xFFFF) << 8);
-                let outgoing = parts[to].take().expect("part already sent");
-                self.send(to, tag, &outgoing);
-                let received: T = self.recv(from, tag);
-                slots[from] = Some(received);
-            }
-        }
-        slots
+        // A wrong part count is reported to every member by the
+        // rendezvous' agreement check rather than by this rank alone.
+        let me = self.rank();
+        let mut own = None;
+        let encoded: Vec<Vec<u8>> = parts
             .into_iter()
-            .map(|s| s.expect("missing all_to_all slot"))
+            .enumerate()
+            .map(|(j, part)| {
+                if j == me {
+                    own = Some(part);
+                    Vec::new()
+                } else {
+                    part.to_bytes()
+                }
+            })
+            .collect();
+        let Delivered::Parts(inbox) =
+            self.rendezvous("all_to_all", Schedule::Pairwise, TAG_ALLTOALL, Payload::Parts(encoded))
+        else {
+            unreachable!("an all-to-all delivers parts")
+        };
+        inbox
+            .into_iter()
+            .enumerate()
+            .map(|(src, bytes)| {
+                if src == me {
+                    return own.take().expect("own part");
+                }
+                T::from_bytes(&bytes).unwrap_or_else(|e| {
+                    panic!(
+                        "cgm: rank {} failed to decode the all_to_all part from {src}: {e}",
+                        self.world_rank()
+                    )
+                })
+            })
             .collect()
     }
 

@@ -30,6 +30,7 @@
 //! Graphs persist via [`crate::wire::Wire`] as `results/*.evg` artifacts
 //! (see [`EventGraph::save`] / [`EventGraph::load`]).
 
+use std::collections::{HashMap, VecDeque};
 use std::path::Path;
 
 use crate::counters::ProcStats;
@@ -443,13 +444,153 @@ impl Wire for EventGraph {
                 trailing: false,
             });
         }
-        Ok(EventGraph {
+        let graph = EventGraph {
             nprocs: usize::decode(buf)?,
             names: Vec::<String>::decode(buf)?,
             ranks: Vec::<Vec<Ev>>::decode(buf)?,
             finish: Vec::<f64>::decode(buf)?,
             recorded: Vec::<Breakdown>::decode(buf)?,
-        })
+        };
+        graph.validate().map_err(|what| DecodeError {
+            what,
+            remaining: buf.len(),
+            trailing: false,
+        })?;
+        Ok(graph)
+    }
+}
+
+impl EventGraph {
+    /// Check the structure [`mod@crate::replay`] relies on, so a graph that
+    /// decodes always replays: per-rank tables as long as `nprocs`, message
+    /// peers in range and never the rank itself, span names in the table
+    /// and exits above the stack bottom, device waits on submitted
+    /// requests, finite non-negative durations whose total stays finite,
+    /// every receive FIFO-matched to a push, and no receive cycle. Returns
+    /// the name of the first violation.
+    fn validate(&self) -> Result<(), &'static str> {
+        let p = self.nprocs;
+        if self.ranks.len() != p {
+            return Err("event-graph rank lists differ in number from nprocs");
+        }
+        if self.finish.len() != p {
+            return Err("event-graph finish times differ in number from nprocs");
+        }
+        if self.recorded.len() != p {
+            return Err("event-graph breakdowns differ in number from nprocs");
+        }
+        let mut total = 0.0f64;
+        let mut duration = |secs: f64| {
+            if !(secs.is_finite() && secs >= 0.0) {
+                return Err("event-graph duration is non-finite or negative");
+            }
+            total += secs;
+            Ok(())
+        };
+        // Unmatched pushes per (src, dst, tag), in program order.
+        let mut pushes: HashMap<(usize, usize, u32), VecDeque<usize>> = HashMap::new();
+        for (r, evs) in self.ranks.iter().enumerate() {
+            let peer = |q: u32| (q as usize) < p && q as usize != r;
+            let (mut depth, mut submitted) = (0usize, 0u64);
+            for (i, ev) in evs.iter().enumerate() {
+                match *ev {
+                    Ev::Compute { kind, seconds } => {
+                        if kind > COMPUTE_RAW {
+                            return Err("event-graph compute kind out of range");
+                        }
+                        duration(seconds)?;
+                    }
+                    Ev::Disk { seconds, seek, .. } => {
+                        duration(seconds)?;
+                        duration(seek)?;
+                    }
+                    Ev::Fault { seconds, .. } => duration(seconds)?,
+                    Ev::Push { dst, tag, seconds, lat, delay, .. } => {
+                        if !peer(dst) {
+                            return Err("event-graph push destination out of range or self");
+                        }
+                        duration(seconds)?;
+                        duration(lat)?;
+                        duration(delay)?;
+                        pushes.entry((r, dst as usize, tag)).or_default().push_back(i);
+                    }
+                    Ev::Recv { src, .. } => {
+                        if !peer(src) {
+                            return Err("event-graph receive source out of range or self");
+                        }
+                    }
+                    Ev::Submit { service, seek, fault, .. } => {
+                        duration(service)?;
+                        duration(seek)?;
+                        duration(fault)?;
+                        submitted += 1;
+                    }
+                    Ev::Wait { req, service } => {
+                        if req >= submitted {
+                            return Err("event-graph wait on a request never submitted");
+                        }
+                        duration(service)?;
+                    }
+                    Ev::SyncDev => {}
+                    Ev::Enter { name } => {
+                        if name as usize >= self.names.len() {
+                            return Err("event-graph span name id out of range");
+                        }
+                        depth += 1;
+                    }
+                    Ev::Exit => {
+                        if depth == 0 {
+                            return Err("event-graph span exit below the stack bottom");
+                        }
+                        depth -= 1;
+                    }
+                }
+            }
+        }
+        if !total.is_finite() {
+            return Err("event-graph durations overflow the clock");
+        }
+        // The push each receive matches, by rank and event.
+        let mut matched: Vec<Vec<(usize, usize)>> = vec![Vec::new(); p];
+        for (d, evs) in self.ranks.iter().enumerate() {
+            for ev in evs {
+                if let Ev::Recv { src, tag } = *ev {
+                    let src = src as usize;
+                    let push = pushes
+                        .get_mut(&(src, d, tag))
+                        .and_then(VecDeque::pop_front)
+                        .ok_or("event-graph receive without a FIFO-matching push")?;
+                    matched[d].push((src, push));
+                }
+            }
+        }
+        // Dry run of the replay's schedule: a receive steps once its push
+        // has; no progress with events left is a receive cycle.
+        let mut cursor = vec![0usize; p];
+        let mut recvs = vec![0usize; p];
+        loop {
+            let mut progress = false;
+            for r in 0..p {
+                let evs = &self.ranks[r];
+                while cursor[r] < evs.len() {
+                    if let Ev::Recv { .. } = evs[cursor[r]] {
+                        let (src, push) = matched[r][recvs[r]];
+                        if cursor[src] <= push {
+                            break;
+                        }
+                        recvs[r] += 1;
+                    }
+                    cursor[r] += 1;
+                    progress = true;
+                }
+            }
+            if (0..p).all(|r| cursor[r] == self.ranks[r].len()) {
+                return Ok(());
+            }
+            if !progress {
+                return Err("event-graph receives form a cycle");
+            }
+        }
     }
 }
 
@@ -494,7 +635,12 @@ mod tests {
             nprocs: 2,
             names: vec!["a.b".into(), "c".into()],
             ranks: vec![
-                vec![Ev::Enter { name: 0 }, Ev::Compute { kind: 0, seconds: 1.0 }, Ev::Exit],
+                vec![
+                    Ev::Enter { name: 0 },
+                    Ev::Compute { kind: 0, seconds: 1.0 },
+                    Ev::Exit,
+                    Ev::Push { dst: 1, tag: 1, bytes: 0, seconds: 0.5, lat: 0.5, delay: 0.0, poison: false },
+                ],
                 vec![Ev::Recv { src: 0, tag: 1 }],
             ],
             finish: vec![1.0, 2.0],
@@ -506,6 +652,100 @@ mod tests {
         let mut bad = bytes.clone();
         bad[0] = 0xFF;
         assert!(EventGraph::from_bytes(&bad).is_err());
+    }
+
+    /// A small valid graph: rank 0 submits, waits, pushes inside a span;
+    /// rank 1 receives.
+    fn valid_graph() -> EventGraph {
+        EventGraph {
+            nprocs: 2,
+            names: vec!["phase".into()],
+            ranks: vec![
+                vec![
+                    Ev::Enter { name: 0 },
+                    Ev::Submit { read: true, bytes: 8, service: 0.5, seek: 0.1, fault: 0.0 },
+                    Ev::Wait { req: 0, service: 0.5 },
+                    Ev::Push { dst: 1, tag: 4, bytes: 8, seconds: 0.2, lat: 0.1, delay: 0.0, poison: false },
+                    Ev::Exit,
+                ],
+                vec![Ev::Recv { src: 0, tag: 4 }, Ev::Compute { kind: 0, seconds: 1.0 }],
+            ],
+            finish: vec![0.7, 1.7],
+            recorded: vec![Breakdown::default(); 2],
+        }
+    }
+
+    /// Encode `g` and decode it back, returning the decode error's name.
+    fn rejection(g: &EventGraph) -> &'static str {
+        EventGraph::from_bytes(&g.to_bytes()).expect_err("corrupt graph must not load").what
+    }
+
+    #[test]
+    fn decode_validates_structure() {
+        let ok = valid_graph();
+        assert_eq!(EventGraph::from_bytes(&ok.to_bytes()).unwrap(), ok);
+
+        let mut g = valid_graph();
+        g.ranks.pop();
+        assert_eq!(rejection(&g), "event-graph rank lists differ in number from nprocs");
+        let mut g = valid_graph();
+        g.finish.pop();
+        assert_eq!(rejection(&g), "event-graph finish times differ in number from nprocs");
+        let mut g = valid_graph();
+        g.recorded.push(Breakdown::default());
+        assert_eq!(rejection(&g), "event-graph breakdowns differ in number from nprocs");
+
+        for dst in [0, 2, 9] {
+            let mut g = valid_graph();
+            g.ranks[0][3] = Ev::Push { dst, tag: 4, bytes: 8, seconds: 0.2, lat: 0.1, delay: 0.0, poison: false };
+            assert_eq!(rejection(&g), "event-graph push destination out of range or self");
+        }
+        for src in [1, 5] {
+            let mut g = valid_graph();
+            g.ranks[1][0] = Ev::Recv { src, tag: 4 };
+            assert_eq!(rejection(&g), "event-graph receive source out of range or self");
+        }
+        let mut g = valid_graph();
+        g.ranks[0][0] = Ev::Enter { name: 1 };
+        assert_eq!(rejection(&g), "event-graph span name id out of range");
+        let mut g = valid_graph();
+        g.ranks[1].push(Ev::Exit);
+        assert_eq!(rejection(&g), "event-graph span exit below the stack bottom");
+        let mut g = valid_graph();
+        g.ranks[0][2] = Ev::Wait { req: 1, service: 0.5 };
+        assert_eq!(rejection(&g), "event-graph wait on a request never submitted");
+        let mut g = valid_graph();
+        g.ranks[0].swap(1, 2);
+        assert_eq!(rejection(&g), "event-graph wait on a request never submitted");
+
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut g = valid_graph();
+            g.ranks[1][1] = Ev::Compute { kind: 0, seconds: bad };
+            assert_eq!(rejection(&g), "event-graph duration is non-finite or negative");
+            let mut g = valid_graph();
+            g.ranks[0][3] = Ev::Push { dst: 1, tag: 4, bytes: 8, seconds: 0.2, lat: 0.1, delay: bad, poison: false };
+            assert_eq!(rejection(&g), "event-graph duration is non-finite or negative");
+        }
+        let mut g = valid_graph();
+        g.ranks[1][1] = Ev::Compute { kind: 0, seconds: f64::MAX };
+        g.ranks[1].push(Ev::Compute { kind: 0, seconds: f64::MAX });
+        assert_eq!(rejection(&g), "event-graph durations overflow the clock");
+        let mut g = valid_graph();
+        g.ranks[1][1] = Ev::Compute { kind: COMPUTE_RAW + 1, seconds: 1.0 };
+        assert_eq!(rejection(&g), "event-graph compute kind out of range");
+
+        let mut g = valid_graph();
+        g.ranks[1][0] = Ev::Recv { src: 0, tag: 5 };
+        assert_eq!(rejection(&g), "event-graph receive without a FIFO-matching push");
+        let mut g = valid_graph();
+        g.ranks[1].push(Ev::Recv { src: 0, tag: 4 });
+        assert_eq!(rejection(&g), "event-graph receive without a FIFO-matching push");
+
+        // Each rank receives before it pushes: a receive cycle.
+        let mut g = valid_graph();
+        g.ranks[0].insert(0, Ev::Recv { src: 1, tag: 9 });
+        g.ranks[1].push(Ev::Push { dst: 0, tag: 9, bytes: 0, seconds: 0.1, lat: 0.1, delay: 0.0, poison: false });
+        assert_eq!(rejection(&g), "event-graph receives form a cycle");
     }
 
     #[test]

@@ -14,17 +14,21 @@
 //! * [`Backend::Event`] — the event-driven executor: rank bodies become
 //!   resumable tasks multiplexed on a small admission pool. The virtual
 //!   clock discipline makes every blocking point explicit — `recv` (and
-//!   everything built on it: `wait`, `barrier`, the collectives) is the
-//!   *only* operation that can physically block on another rank; device
-//!   waits and I/O stalls are pure virtual-time arithmetic. A task that
-//!   blocks hands its run slot back to the scheduler and parks; a
-//!   matching send re-enqueues it. At most `workers` tasks are ever
+//!   everything built on it: `wait`, `barrier`, most collectives) and the
+//!   rendezvous of the fixed-schedule collectives (the `rendezvous` module)
+//!   are the *only* operations that can physically block on another rank;
+//!   device waits and I/O stalls are pure virtual-time arithmetic. A task
+//!   that blocks hands its run slot back to the scheduler and parks; a
+//!   matching send, or the last member arriving at its rendezvous,
+//!   re-enqueues it. At most `workers` tasks are ever
 //!   runnable, so `p = 1024` ranks run comfortably on one core with no
 //!   thread thrash, and **no wall-clock timer exists at all**: deadlock
 //!   detection is structural. When the machine reaches global quiescence
-//!   (no task running or ready) while some tasks still wait for messages,
-//!   no future send can ever occur — the scheduler reports every blocked
-//!   rank with the `(src, tag)` it waits on and names the wait-for cycle.
+//!   (no task running or ready) while some tasks still wait for messages
+//!   or at a rendezvous, no future send or arrival can ever occur — the
+//!   scheduler reports every blocked rank with the `(src, tag)` it waits on
+//!   (or the rendezvous members that arrived and those missing) and names
+//!   the wait-for cycle.
 //!
 //! Both backends produce bit-identical outputs: finish-time bits, counters,
 //! spans, gauges and recorded event DAGs. Receives match messages per
@@ -36,6 +40,7 @@
 
 use parking_lot::{Condvar, Mutex};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Sentinel prefix on panic payloads raised by ranks that were *aborted*
 /// (woken from a park because another rank panicked or a structural
@@ -116,8 +121,8 @@ impl ExecMode {
 }
 
 /// One rank's execution state, as seen by the [`Scheduler`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RankState {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RankState {
     /// Waiting for an admission slot (either freshly spawned or re-enqueued
     /// after a matching message arrived).
     Ready,
@@ -126,6 +131,10 @@ enum RankState {
     /// Parked inside a receive, waiting for a message matching
     /// `(src, tag)` from physical rank `src`.
     Blocked { src: usize, tag: u32 },
+    /// Parked at the rendezvous of collective `op` on the communicator
+    /// whose physical members are `comm`, waiting for the last member to
+    /// arrive (see [`crate::rendezvous`]).
+    AtRendezvous { op: &'static str, comm: Arc<[usize]> },
     /// The body returned (or the rank was torn down by an abort).
     Done,
 }
@@ -208,7 +217,9 @@ impl Scheduler {
                 _ => None,
             })
             .collect();
-        if blocked.is_empty() {
+        if blocked.is_empty()
+            && !st.states.iter().any(|s| matches!(s, RankState::AtRendezvous { .. }))
+        {
             return; // everything Done: a normal finish
         }
         st.abort = Some(deadlock_report(&st.states, &blocked));
@@ -245,12 +256,21 @@ impl Scheduler {
     /// sentinel) if the run aborts while parked — including when this very
     /// call completes the quiescent wait set.
     pub(crate) fn block(&self, rank: usize, src: usize, tag: u32) {
+        self.park(rank, RankState::Blocked { src, tag });
+    }
+
+    /// Park `rank` in the `waiting` state (a receive or a rendezvous) until
+    /// something re-admits it — or return at once, consuming the flag, if a
+    /// signal raced in while it was deciding to park. On return the caller
+    /// must re-check what it waits for. Panics (with the abort sentinel) if
+    /// the run aborts while parked.
+    pub(crate) fn park(&self, rank: usize, waiting: RankState) {
         let mut st = self.state.lock();
         if st.signaled[rank] {
             st.signaled[rank] = false;
             return;
         }
-        st.states[rank] = RankState::Blocked { src, tag };
+        st.states[rank] = waiting;
         self.release_slot(&mut st);
         self.check_quiescence(&mut st);
         loop {
@@ -273,17 +293,34 @@ impl Scheduler {
         let mut st = self.state.lock();
         match st.states[dst] {
             RankState::Blocked { src: s, tag: t } if s == src && t == tag => {
-                if st.running < st.workers {
-                    st.states[dst] = RankState::Running;
-                    st.running += 1;
-                    self.cvs[dst].notify_all();
-                } else {
-                    st.states[dst] = RankState::Ready;
-                    st.ready.push_back(dst);
-                }
+                self.readmit(&mut st, dst)
             }
             RankState::Running => st.signaled[dst] = true,
             _ => {}
+        }
+    }
+
+    /// The rendezvous `rank` waits at completed: re-admit it if parked
+    /// there, flag it if it is still running toward its park.
+    pub(crate) fn wake(&self, rank: usize) {
+        let mut st = self.state.lock();
+        match st.states[rank] {
+            RankState::AtRendezvous { .. } => self.readmit(&mut st, rank),
+            RankState::Running => st.signaled[rank] = true,
+            _ => {}
+        }
+    }
+
+    /// Move a parked rank to Running when a slot is free, else queue it.
+    /// Caller must hold the state lock.
+    fn readmit(&self, st: &mut SchedState, rank: usize) {
+        if st.running < st.workers {
+            st.states[rank] = RankState::Running;
+            st.running += 1;
+            self.cvs[rank].notify_all();
+        } else {
+            st.states[rank] = RankState::Ready;
+            st.ready.push_back(rank);
         }
     }
 
@@ -321,33 +358,65 @@ impl Scheduler {
     }
 }
 
-/// Render the structural-deadlock diagnostic: every blocked rank with the
-/// `(src, tag)` it waits on, finished ranks it may be waiting on, and the
-/// wait-for cycle when one exists.
+/// Render the structural-deadlock diagnostic: every rank blocked in a
+/// receive with the `(src, tag)` it waits on, every rank parked at a
+/// rendezvous with the ranks that arrived and those still missing, finished
+/// ranks they may be waiting on, and the wait-for cycle when one exists.
 fn deadlock_report(states: &[RankState], blocked: &[(usize, usize, u32)]) -> String {
     use std::fmt::Write;
+    let gathered: Vec<(usize, &'static str, &Arc<[usize]>)> = states
+        .iter()
+        .enumerate()
+        .filter_map(|(r, s)| match s {
+            RankState::AtRendezvous { op, comm } => Some((r, *op, comm)),
+            _ => None,
+        })
+        .collect();
     let mut out = format!(
         "structural deadlock: global quiescence with {} rank(s) blocked and \
          no send in flight:\n",
-        blocked.len()
+        blocked.len() + gathered.len()
     );
+    let finished = |r: usize| matches!(states[r], RankState::Done);
     for &(r, src, tag) in blocked {
-        let note = match states[src] {
-            RankState::Done => " (which already finished)",
-            _ => "",
-        };
+        let note = if finished(src) { " (which already finished)" } else { "" };
         let _ = writeln!(out, "  rank {r} <- recv(src={src}, tag={tag:#x}){note}");
     }
-    // Each blocked rank has exactly one wait-for edge (rank -> src), so a
-    // cycle, if any, is found by walking edges from any blocked rank.
+    // Ranks parked at the rendezvous of one communicator are exactly the
+    // members that arrived (nothing runs at quiescence).
+    let at = |m: usize, comm: &Arc<[usize]>| {
+        matches!(&states[m], RankState::AtRendezvous { comm: c, .. } if c == comm)
+    };
+    let missing_of =
+        |comm: &Arc<[usize]>| -> Vec<usize> { comm.iter().copied().filter(|&m| !at(m, comm)).collect() };
+    for &(r, op, comm) in &gathered {
+        let arrived: Vec<usize> = comm.iter().copied().filter(|&m| at(m, comm)).collect();
+        let missing = missing_of(comm);
+        let done: Vec<usize> = missing.iter().copied().filter(|&m| finished(m)).collect();
+        let note = if done.is_empty() {
+            String::new()
+        } else {
+            format!(" ({done:?} already finished)")
+        };
+        let _ = writeln!(
+            out,
+            "  rank {r} <- rendezvous {op} on communicator {comm:?}: arrived ranks \
+             {arrived:?}, missing ranks {missing:?}{note}"
+        );
+    }
+    // Each waiting rank gets one wait-for edge (a receive's source, or a
+    // rendezvous' lowest missing member), so a cycle, if any, is found by
+    // walking edges from any waiting rank.
     let edge = |r: usize| -> Option<usize> {
-        match states[r] {
-            RankState::Blocked { src, .. } => Some(src),
+        match &states[r] {
+            RankState::Blocked { src, .. } => Some(*src),
+            RankState::AtRendezvous { comm, .. } => missing_of(comm).first().copied(),
             _ => None,
         }
     };
     let mut on_any_cycle: Option<Vec<usize>> = None;
-    for &(start, _, _) in blocked {
+    let starts = blocked.iter().map(|b| b.0).chain(gathered.iter().map(|g| g.0));
+    for start in starts {
         let mut walk = vec![start];
         let mut cur = start;
         while let Some(next) = edge(cur) {

@@ -56,6 +56,7 @@ pub mod hist;
 pub mod mailbox;
 pub mod metrics;
 pub mod proc;
+mod rendezvous;
 pub mod replay;
 pub mod report;
 pub mod span;

@@ -22,10 +22,13 @@ use crate::cost::{CollectiveTuning, CostModel, OpKind};
 use crate::counters::Counters;
 use crate::evg::{Ev, COMPUTE_RAW, FAULT_DISK, FAULT_LINK};
 use crate::exec::ExecMode;
-use crate::fault::{FaultError, FaultPlan, STREAM_DISK_READ, STREAM_LINK_DELAY, STREAM_LINK_DROP};
+use crate::fault::{
+    FaultError, FaultPlan, LinkFaults, STREAM_DISK_READ, STREAM_LINK_DELAY, STREAM_LINK_DROP,
+};
 use crate::gauge::GaugePoint;
 use crate::group::Group;
 use crate::mailbox::{Mailbox, Message};
+use crate::rendezvous::Rendezvous;
 use crate::span::{SpanAttr, SpanRecord, SpanToken, SPAN_DISABLED};
 use crate::trace::{EventKind, TraceEvent};
 use crate::wire::Wire;
@@ -82,6 +85,58 @@ pub struct SharedMachine {
     /// [`crate::evg`]). Pure observation: record-on runs stay
     /// bit-identical to record-off runs.
     pub record: bool,
+    /// The world communicator's members, `0..p` (the key of unscoped
+    /// rendezvous collectives).
+    pub(crate) world: Arc<[usize]>,
+    /// Rendezvous slots of the fixed-schedule collectives (see
+    /// [`crate::rendezvous`]).
+    pub(crate) rendezvous: Rendezvous,
+}
+
+/// Fault decisions for one transmission: how many attempts dropped in
+/// flight, whether the last of them exhausted the retries, and whether the
+/// delivered attempt was delayed. A pure function of `(src, dst, seq,
+/// attempt)` and the fault plan, so it can be drawn before the
+/// transmission is charged — by the mailbox path right before delivery,
+/// by a rendezvous collective at deposit time.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct LinkDraw {
+    /// Dropped attempts (each charges message cost plus retry timeout).
+    pub drops: u32,
+    /// The send failed permanently after `drops` attempts.
+    pub failed: bool,
+    /// The delivered attempt arrives `delay_seconds` late.
+    pub delayed: bool,
+}
+
+impl LinkDraw {
+    /// The sender-side timeline of one transmission of `cost` seconds
+    /// starting at sender clock `clock`: the sender clock afterwards and
+    /// the message's arrival time — `Err` carries the arrival of the
+    /// poison tombstone a permanently failed send leaves. The same
+    /// floating-point sequence [`Proc::charge_send`] performs.
+    pub(crate) fn transmit(
+        self,
+        mut clock: f64,
+        cost: f64,
+        link: &LinkFaults,
+    ) -> (f64, Result<f64, f64>) {
+        if self.drops > 0 {
+            let penalty = cost + link.retry_timeout;
+            for _ in 0..self.drops {
+                clock += penalty;
+            }
+            if self.failed {
+                return (clock, Err(clock));
+            }
+        }
+        clock += cost;
+        let mut arrive = clock;
+        if self.delayed {
+            arrive += link.delay_seconds;
+        }
+        (clock, Ok(arrive))
+    }
 }
 
 /// Active communicator scope of one processor (see [`Proc::scoped`]):
@@ -89,7 +144,7 @@ pub struct SharedMachine {
 /// endpoints present the subgroup as if it were the whole machine.
 struct Scope {
     /// Global ranks of the subgroup, ascending.
-    members: Vec<usize>,
+    members: Arc<[usize]>,
     /// This processor's rank within `members`.
     local: usize,
 }
@@ -210,7 +265,7 @@ impl Proc {
             )
         });
         self.scope = Some(Scope {
-            members: group.members().to_vec(),
+            members: group.members().into(),
             local,
         });
         let out = f(self);
@@ -240,6 +295,20 @@ impl Proc {
             }
             None => peer,
         }
+    }
+
+    /// Physical ranks of the active communicator, ascending: the scoped
+    /// subgroup's members, or the whole machine when unscoped.
+    pub(crate) fn comm(&self) -> Arc<[usize]> {
+        match &self.scope {
+            Some(s) => Arc::clone(&s.members),
+            None => Arc::clone(&self.shared.world),
+        }
+    }
+
+    /// The run's shared machine state.
+    pub(crate) fn shared(&self) -> &Arc<SharedMachine> {
+        &self.shared
     }
 
     /// Number of processors in the machine. Inside [`Proc::scoped`] this is
@@ -793,11 +862,12 @@ impl Proc {
     }
 
     /// Block until a message matching `(src, tag)` is in this rank's
-    /// mailbox and take it. This is the **only** operation that can
-    /// physically block on another rank (barriers, collectives and waits
-    /// are all built on it); how the block is realized — and how a
-    /// deadlock is detected — is the execution backend's job (see
-    /// [`crate::exec`]).
+    /// mailbox and take it. With the rendezvous of the fixed-schedule
+    /// collectives (see [`crate::rendezvous`]) this is the only operation
+    /// that can physically block on another rank (barriers, the other
+    /// collectives and waits are all built on it); how the block is
+    /// realized — and how a deadlock is detected — is the execution
+    /// backend's job (see [`crate::exec`]).
     fn blocking_recv(&self, src: usize, tag: u32) -> Message {
         let mailbox = &self.shared.mailboxes[self.rank];
         match &self.shared.exec {
@@ -815,15 +885,16 @@ impl Proc {
                     return msg;
                 }
                 board.enter(self.rank, src, tag);
-                let got = mailbox.recv_timeout(src, tag, *timeout);
-                board.exit(self.rank);
-                match got {
-                    Some(msg) => msg,
+                match mailbox.recv_timeout(src, tag, *timeout) {
+                    Some(msg) => {
+                        board.exit(self.rank);
+                        msg
+                    }
                     None => {
-                        let mut blocked = board.blocked_now();
-                        blocked.push((self.rank, src, tag));
-                        blocked.sort_unstable();
-                        blocked.dedup();
+                        // A rank that timed out stays on the board: it is
+                        // blocked at timeout, and a peer timing out just
+                        // after it must still list it.
+                        let blocked = board.blocked_now();
                         let waiting: Vec<String> = blocked
                             .iter()
                             .map(|&(r, s, t)| format!("rank {r} <- recv(src={s}, tag={t:#x})"))
@@ -879,61 +950,81 @@ impl Proc {
         let dst = self.resolve_peer(dst);
         assert!(dst < self.nprocs, "send to rank {dst} of {}", self.nprocs);
         assert_ne!(dst, self.rank, "self-send is not modeled; use local data");
-        let cost = self.shared.cost.network.message_cost(payload.len());
-        let link = &self.shared.faults.link;
-        let link_active =
-            !self.shared.faults_inert && (link.drop_prob > 0.0 || link.delay_prob > 0.0);
-        if !link_active {
-            self.clock += cost;
-            self.counters.comm_time += cost;
-            self.counters.messages_sent += 1;
-            self.counters.bytes_sent += payload.len() as u64;
-            self.trace_event(EventKind::Send {
-                dst,
-                tag,
-                bytes: payload.len(),
-                seconds: cost,
-            });
-            self.record_ev(Ev::Push {
-                dst: dst as u32,
-                tag,
-                bytes: payload.len() as u64,
-                seconds: cost,
-                lat: self.shared.cost.network.alpha,
-                delay: 0.0,
-                poison: false,
-            });
-            self.deliver(dst, Message {
-                src: self.rank,
-                tag,
-                payload,
-                arrive_time: self.clock,
-                poisoned: false,
-            });
-            return Ok(());
+        let draw = self.draw_link(dst);
+        match self.charge_send(dst, tag, payload.len(), draw) {
+            Ok(arrive_time) => {
+                self.deliver(dst, Message {
+                    src: self.rank,
+                    tag,
+                    payload,
+                    arrive_time,
+                    poisoned: false,
+                });
+                Ok(())
+            }
+            Err(arrive_time) => {
+                self.deliver(dst, Message {
+                    src: self.rank,
+                    tag,
+                    payload: Vec::new(),
+                    arrive_time,
+                    poisoned: true,
+                });
+                Err(FaultError::Link { src: self.rank, dst })
+            }
         }
-        let (drop_prob, delay_prob, delay_seconds, retry_timeout, max_retries) = (
-            link.drop_prob,
-            link.delay_prob,
-            link.delay_seconds,
-            link.retry_timeout,
-            link.max_retries,
-        );
+    }
+
+    /// Draw the fault decisions of the next transmission to physical rank
+    /// `dst` (advancing its link sequence number). With inactive link
+    /// faults nothing is drawn and the sequence stays put.
+    pub(crate) fn draw_link(&mut self, dst: usize) -> LinkDraw {
+        let link = &self.shared.faults.link;
+        if self.shared.faults_inert || (link.drop_prob <= 0.0 && link.delay_prob <= 0.0) {
+            return LinkDraw::default();
+        }
         let seq = self.link_seq[dst];
         self.link_seq[dst] += 1;
         let (src_w, dst_w) = (self.rank as u64, dst as u64);
         let mut attempt: u32 = 0;
         loop {
             let drop_stream = [STREAM_LINK_DROP, src_w, dst_w, seq, attempt as u64];
-            if self.shared.faults.decide(&drop_stream, drop_prob) {
-                // Lost in flight: the sender transmits, waits out the ack
-                // timeout, then retransmits (or gives up).
-                let penalty = cost + retry_timeout;
+            if self.shared.faults.decide(&drop_stream, link.drop_prob) {
+                // Lost in flight: the sender waits out the ack timeout,
+                // then retransmits (or gives up).
+                if attempt >= link.max_retries {
+                    return LinkDraw { drops: attempt + 1, failed: true, delayed: false };
+                }
+                attempt += 1;
+                continue;
+            }
+            let delay_stream = [STREAM_LINK_DELAY, src_w, dst_w, seq, attempt as u64];
+            let delayed = self.shared.faults.decide(&delay_stream, link.delay_prob);
+            return LinkDraw { drops: attempt, failed: false, delayed };
+        }
+    }
+
+    /// Sender-side accounting of one transmission of `bytes` to physical
+    /// rank `dst` under `draw`: clock, counters, trace and recorded events.
+    /// Returns the message's arrival time, or `Err` with the arrival time
+    /// of the poison tombstone when the send failed permanently. Shared by
+    /// the mailbox path and the rendezvous replay, so both charge alike.
+    pub(crate) fn charge_send(
+        &mut self,
+        dst: usize,
+        tag: u32,
+        bytes: usize,
+        draw: LinkDraw,
+    ) -> Result<f64, f64> {
+        let cost = self.shared.cost.network.message_cost(bytes);
+        if draw.drops > 0 {
+            let penalty = cost + self.shared.faults.link.retry_timeout;
+            for attempt in 1..=draw.drops {
                 self.clock += penalty;
                 self.counters.fault_time += penalty;
                 self.trace_event(EventKind::Fault { kind: "link-drop", seconds: penalty });
                 self.record_ev(Ev::Fault { kind: FAULT_LINK, seconds: penalty });
-                if attempt >= max_retries {
+                if draw.failed && attempt == draw.drops {
                     self.counters.link_failures += 1;
                     // The tombstone costs nothing extra (the penalties
                     // above already charged the clock): a zero-duration
@@ -947,61 +1038,37 @@ impl Proc {
                         delay: 0.0,
                         poison: true,
                     });
-                    self.deliver(dst, Message {
-                        src: self.rank,
-                        tag,
-                        payload: Vec::new(),
-                        arrive_time: self.clock,
-                        poisoned: true,
-                    });
-                    return Err(FaultError::Link { src: self.rank, dst });
+                    return Err(self.clock);
                 }
                 self.counters.link_retries += 1;
-                attempt += 1;
-                continue;
             }
-            self.clock += cost;
-            self.counters.comm_time += cost;
-            self.counters.messages_sent += 1;
-            self.counters.bytes_sent += payload.len() as u64;
-            self.trace_event(EventKind::Send {
-                dst,
-                tag,
-                bytes: payload.len(),
-                seconds: cost,
-            });
-            let mut arrive_time = self.clock;
-            let mut delay = 0.0;
-            let delay_stream = [STREAM_LINK_DELAY, src_w, dst_w, seq, attempt as u64];
-            if self.shared.faults.decide(&delay_stream, delay_prob) {
-                // Delayed in flight: the sender is done, the receiver sees
-                // the message later.
-                arrive_time += delay_seconds;
-                delay = delay_seconds;
-                self.counters.link_delays += 1;
-                self.trace_event(EventKind::Fault {
-                    kind: "link-delay",
-                    seconds: delay_seconds,
-                });
-            }
-            self.record_ev(Ev::Push {
-                dst: dst as u32,
-                tag,
-                bytes: payload.len() as u64,
-                seconds: cost,
-                lat: self.shared.cost.network.alpha,
-                delay,
-                poison: false,
-            });
-            self.deliver(dst, Message {
-                src: self.rank,
-                tag,
-                payload,
-                arrive_time,
-                poisoned: false,
-            });
-            return Ok(());
         }
+        self.clock += cost;
+        self.counters.comm_time += cost;
+        self.counters.messages_sent += 1;
+        self.counters.bytes_sent += bytes as u64;
+        self.trace_event(EventKind::Send { dst, tag, bytes, seconds: cost });
+        let mut arrive_time = self.clock;
+        let mut delay = 0.0;
+        if draw.delayed {
+            // Delayed in flight: the sender is done, the receiver sees the
+            // message later.
+            let delay_seconds = self.shared.faults.link.delay_seconds;
+            arrive_time += delay_seconds;
+            delay = delay_seconds;
+            self.counters.link_delays += 1;
+            self.trace_event(EventKind::Fault { kind: "link-delay", seconds: delay_seconds });
+        }
+        self.record_ev(Ev::Push {
+            dst: dst as u32,
+            tag,
+            bytes: bytes as u64,
+            seconds: cost,
+            lat: self.shared.cost.network.alpha,
+            delay,
+            poison: false,
+        });
+        Ok(arrive_time)
     }
 
     /// Deliver a poison tombstone to `dst` without any fault modeling —
@@ -1052,13 +1119,31 @@ impl Proc {
         assert!(src < self.nprocs, "recv from rank {src} of {}", self.nprocs);
         assert_ne!(src, self.rank, "self-recv is not modeled");
         let msg = self.blocking_recv(src, tag);
+        self.charge_recv(src, tag, msg.arrive_time, msg.poisoned, msg.payload.len())?;
+        Ok(msg.payload)
+    }
+
+    /// Receiver-side accounting of one message of `bytes` from physical
+    /// rank `src` that arrives at `arrive_time`: the clock waits for it
+    /// (the gap counts as communication), then counters, gauges, trace and
+    /// recorded events. A poison tombstone surfaces as
+    /// [`FaultError::Poisoned`]. Shared by the mailbox path and the
+    /// rendezvous replay, so both charge alike.
+    pub(crate) fn charge_recv(
+        &mut self,
+        src: usize,
+        tag: u32,
+        arrive_time: f64,
+        poisoned: bool,
+        bytes: usize,
+    ) -> Result<(), FaultError> {
         self.record_ev(Ev::Recv { src: src as u32, tag });
-        let waited = (msg.arrive_time - self.clock).max(0.0);
-        if msg.arrive_time > self.clock {
-            self.counters.comm_time += msg.arrive_time - self.clock;
-            self.clock = msg.arrive_time;
+        let waited = (arrive_time - self.clock).max(0.0);
+        if arrive_time > self.clock {
+            self.counters.comm_time += arrive_time - self.clock;
+            self.clock = arrive_time;
         }
-        if msg.poisoned {
+        if poisoned {
             self.trace_event(EventKind::Fault { kind: "link-drop", seconds: waited });
             return Err(FaultError::Poisoned { src });
         }
@@ -1070,21 +1155,16 @@ impl Proc {
             // endpoints are virtual times, so the series is deterministic
             // even though the physical queue fills at the whim of the OS
             // scheduler.
-            let bytes = msg.payload.len() as f64;
-            self.gauge_delta("cgm.mailbox.depth", msg.arrive_time, 1.0);
+            let size = bytes as f64;
+            self.gauge_delta("cgm.mailbox.depth", arrive_time, 1.0);
             self.gauge_delta("cgm.mailbox.depth", self.clock, -1.0);
-            self.gauge_delta("cgm.mailbox.bytes", msg.arrive_time, bytes);
-            self.gauge_delta("cgm.mailbox.bytes", self.clock, -bytes);
+            self.gauge_delta("cgm.mailbox.bytes", arrive_time, size);
+            self.gauge_delta("cgm.mailbox.bytes", self.clock, -size);
         }
         self.counters.messages_received += 1;
-        self.counters.bytes_received += msg.payload.len() as u64;
-        self.trace_event(EventKind::Recv {
-            src,
-            tag,
-            bytes: msg.payload.len(),
-            waited,
-        });
-        Ok(msg.payload)
+        self.counters.bytes_received += bytes as u64;
+        self.trace_event(EventKind::Recv { src, tag, bytes, waited });
+        Ok(())
     }
 
     /// Typed send.

@@ -367,7 +367,11 @@ impl<'a> Replayer<'a> {
             Class::Io => self.bd[r].io += d,
             Class::Fault => self.bd[r].fault += d,
         }
-        self.segs[r].push(Seg { start, end: self.clock[r], class, dep: Dep::None });
+        // A duration below the clock's resolution leaves no interval; the
+        // critical-path walk needs every interval to end after it starts.
+        if self.clock[r] > start {
+            self.segs[r].push(Seg { start, end: self.clock[r], class, dep: Dep::None });
+        }
     }
 
     /// Replay one event of rank `r`.

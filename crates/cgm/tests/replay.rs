@@ -213,3 +213,37 @@ proptest! {
         prop_assert!(apply(down) <= base, "scaling down increased finish");
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A recorded graph with arbitrary bytes flipped (and possibly cut
+    /// short) either fails to load with a named error or loads into a
+    /// graph that replays — loading and replaying never panic.
+    #[test]
+    fn mutated_graph_bytes_never_panic_load_or_replay(
+        flips in proptest::collection::vec((any::<u32>(), 1u8..=255), 1..6),
+        cut in any::<u32>(),
+        truncate in any::<bool>(),
+    ) {
+        use pdc_cgm::Wire;
+        let mut faults = FaultPlan::with_seed(5);
+        faults.link.delay_prob = 0.1;
+        faults.disk.read_error_prob = 0.05;
+        let mut bytes = record(3, faults).to_bytes();
+        for (pos, mask) in flips {
+            let i = pos as usize % bytes.len();
+            bytes[i] ^= mask;
+        }
+        if truncate {
+            bytes.truncate(cut as usize % bytes.len());
+        }
+        if let Ok(graph) = EventGraph::from_bytes(&bytes) {
+            let _ = replay(&graph, &CostOverride::identity());
+            let mut ov = CostOverride::identity().with_span("test.*", 0.5);
+            ov.comm_transfer = 0.0;
+            ov.disk_seek = 2.0;
+            let _ = replay(&graph, &ov);
+        }
+    }
+}
